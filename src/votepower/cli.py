@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from math import prod
 from pathlib import Path
 from typing import Sequence
 
@@ -208,18 +209,17 @@ def cmd_verify(args) -> int:
 
     structures = [p.structure for p in game.players]
     enumerated = joint_distribution_enum(structures)
-    convolved = ONE
-    for s in structures:
-        convolved = convolved * s.pmf
+    convolved = prod((s.pmf for s in structures), start=ONE)
     check(enumerated == convolved, "joint vote distribution: enumeration matches polynomial product")
 
+    influences = {name: influence(game, name) for name in game.names()}
     for player in game.players:
-        exact = influence(game, player.name)
+        exact = influences[player.name]
         first = influence_first_principles(game, player.name)
         check(first == exact, f"influence {player.name}: first principles equal the polynomial route ({exact})")
 
     for player in game.players:
-        exact = influence(game, player.name)
+        exact = influences[player.name]
         est = monte_carlo_influence(game, player.name, args.trials, args.seed)
         gap = abs(est.mean - float(exact))
         ok = gap <= 3 * est.std_error or gap == 0.0
@@ -263,16 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision", type=int, default=6, metavar="N",
         help="significant digits for decimal output (default 6)",
     )
-    output.add_argument(
+
+    exact = argparse.ArgumentParser(add_help=False)
+    exact.add_argument(
         "--exact", action="store_true",
         help="write exact fractions (num/den) instead of decimals in CSV output",
     )
-    output.add_argument(
+
+    strict = argparse.ArgumentParser(add_help=False)
+    strict.add_argument(
         "--strict-influence", action="store_true",
         help="restrict influence to vote counts below the quota and thresholds above zero",
     )
 
-    p = sub.add_parser("power", parents=[source, output], help="influences and generalized powers")
+    p = sub.add_parser("power", parents=[source, output, strict],
+                       help="influences and generalized powers")
     p.set_defaults(handler=cmd_power)
 
     p = sub.add_parser("banzhaf", parents=[output], help="classic index by coalition enumeration")
@@ -281,11 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="player-count enumeration cap")
     p.set_defaults(handler=cmd_banzhaf)
 
-    p = sub.add_parser("influence-poly", parents=[source, output], help="one player's influence polynomial")
+    p = sub.add_parser("influence-poly", parents=[source, output, strict],
+                       help="one player's influence polynomial")
     p.add_argument("--player", required=True)
     p.set_defaults(handler=cmd_influence_poly)
 
-    p = sub.add_parser("sweep", parents=[source, output], help="powers over a parameter grid (CSV)")
+    p = sub.add_parser("sweep", parents=[source, output, exact, strict],
+                       help="powers over a parameter grid (CSV)")
     p.add_argument("--param", action="append", metavar="PLAYER.FIELD",
                    help="swept parameter, e.g. A.p (repeat for a 2-D grid)")
     p.add_argument("--from", action="append", dest="start", metavar="VALUE")
@@ -293,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", action="append", type=int, metavar="N")
     p.set_defaults(handler=cmd_sweep)
 
-    p = sub.add_parser("sensitivity", parents=[source, output],
+    p = sub.add_parser("sensitivity", parents=[source, output, strict],
                        help="central-difference partials of the powers")
     p.add_argument("--param", action="append", metavar="PLAYER.FIELD",
                    help="parameters to vary (default: every player's p)")
     p.add_argument("--h", default="1/1000", help="finite-difference step (default 1/1000)")
     p.set_defaults(handler=cmd_sensitivity)
 
-    p = sub.add_parser("series", parents=[source, output],
+    p = sub.add_parser("series", parents=[source, output, exact, strict],
                        help="structure and influence coefficient series (CSV)")
     p.add_argument("--player", required=True)
     p.set_defaults(handler=cmd_series)

@@ -14,13 +14,15 @@ would round.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import prod
+from functools import reduce
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import GameValidationError, InputError
-from .poly import ONE, RationalPoly
+from .poly import RationalPoly
 
 ProbabilityLike = Union[Fraction, int, str]
 
@@ -83,18 +85,16 @@ class VoteDistribution:
         return sum((c for d, c in self.pmf.items() if d >= votes), Fraction(0))
 
 
-def random_structure(votes: int) -> VoteDistribution:
-    """Equally likely to cast all ``votes`` votes or none."""
-    _check_weight(votes)
-    half = Fraction(1, 2)
-    return VoteDistribution(RationalPoly({0: half, votes: half}))
-
-
 def bernoulli_structure(votes: int, p: ProbabilityLike) -> VoteDistribution:
     """Casts all ``votes`` votes with probability p, none otherwise."""
     _check_weight(votes)
     p = as_probability(p, "p")
     return VoteDistribution(RationalPoly({0: 1 - p, votes: p}))
+
+
+def random_structure(votes: int) -> VoteDistribution:
+    """Equally likely to cast all ``votes`` votes or none (bernoulli with p = 1/2)."""
+    return bernoulli_structure(votes, Fraction(1, 2))
 
 
 def deterministic_structure(votes: int) -> VoteDistribution:
@@ -132,8 +132,11 @@ def team_structure(
         _check_weight(w, "member weight")
     p = as_probability(p, "p")
     L = as_probability(L, "L")
-    follow = prod((RationalPoly({0: 1 - p, w: p}) for w in weights), start=ONE)
-    defy = prod((RationalPoly({0: p, w: 1 - p}) for w in weights), start=ONE)
+    # Members of equal weight share one factor raised to their count, so a
+    # large team costs a few squarings rather than one product per member.
+    groups = Counter(weights).items()
+    follow = reduce(mul, (RationalPoly({0: 1 - p, w: p}) ** k for w, k in groups))
+    defy = reduce(mul, (RationalPoly({0: p, w: 1 - p}) ** k for w, k in groups))
     return VoteDistribution(L * follow + (1 - L) * defy)
 
 
@@ -143,24 +146,24 @@ def uniform_team_structure(
     """Team of ``n`` members holding one vote each."""
     if not isinstance(n, int) or n < 1:
         raise GameValidationError(f"team size must be a positive integer, got {n!r}")
-    p = as_probability(p, "p")
-    L = as_probability(L, "L")
-    follow = RationalPoly({0: 1 - p, 1: p}) ** n
-    defy = RationalPoly({0: p, 1: 1 - p}) ** n
-    return VoteDistribution(L * follow + (1 - L) * defy)
+    return team_structure((1,) * n, p, L)
 
 
-# Tunable fields each structure kind exposes (for sweeps and sensitivities).
-_PARAM_FIELDS = {
-    "random": (),
-    "deterministic": (),
-    "bernoulli": ("p",),
-    "pmf": (),
-    "team": ("p", "L"),
-    "uniform_team": ("p", "L"),
+# Each structure kind's builder and its JSON fields after "kind", in document
+# order.  The fields are also the builder's positional arguments.
+_KINDS = {
+    "random": (random_structure, ("votes",)),
+    "deterministic": (deterministic_structure, ("votes",)),
+    "bernoulli": (bernoulli_structure, ("votes", "p")),
+    "pmf": (pmf_structure, ("entries",)),
+    "team": (team_structure, ("weights", "p", "L")),
+    "uniform_team": (uniform_team_structure, ("n", "p", "L")),
 }
 
-KINDS = tuple(_PARAM_FIELDS)
+KINDS = tuple(_KINDS)
+
+# The fields that sweeps and sensitivities may vary.
+PARAMETERS = ("p", "L")
 
 
 @dataclass(frozen=True)
@@ -179,24 +182,19 @@ class StructureSpec:
     n: int | None = None
     entries: tuple[tuple[int, Fraction], ...] | None = None
 
+    def _entry(self) -> tuple:
+        if self.kind not in KINDS:
+            raise GameValidationError(f"unknown structure kind {self.kind!r}")
+        return _KINDS[self.kind]
+
     def build(self) -> VoteDistribution:
-        if self.kind == "random":
-            return random_structure(self.votes)
-        if self.kind == "deterministic":
-            return deterministic_structure(self.votes)
-        if self.kind == "bernoulli":
-            return bernoulli_structure(self.votes, self.p)
-        if self.kind == "pmf":
-            return pmf_structure(self.entries)
-        if self.kind == "team":
-            return team_structure(self.weights, self.p, self.L)
-        if self.kind == "uniform_team":
-            return uniform_team_structure(self.n, self.p, self.L)
-        raise GameValidationError(f"unknown structure kind {self.kind!r}")
+        builder, fields = self._entry()
+        return builder(*(getattr(self, f) for f in fields))
 
     def parameters(self) -> tuple[str, ...]:
         """Names of the tunable fields this structure kind exposes."""
-        return _PARAM_FIELDS.get(self.kind, ())
+        fields = _KINDS[self.kind][1] if self.kind in KINDS else ()
+        return tuple(f for f in fields if f in PARAMETERS)
 
     def with_parameter(self, field: str, value: ProbabilityLike) -> StructureSpec:
         if field not in self.parameters():
@@ -206,22 +204,8 @@ class StructureSpec:
         return replace(self, **{field: as_probability(value, field)})
 
     def to_json(self) -> dict:
-        if self.kind in ("random", "deterministic"):
-            return {"kind": self.kind, "votes": self.votes}
-        if self.kind == "bernoulli":
-            return {"kind": self.kind, "votes": self.votes, "p": str(self.p)}
-        if self.kind == "pmf":
-            return {"kind": self.kind, "entries": [[v, str(q)] for v, q in self.entries]}
-        if self.kind == "team":
-            return {
-                "kind": self.kind,
-                "weights": list(self.weights),
-                "p": str(self.p),
-                "L": str(self.L),
-            }
-        if self.kind == "uniform_team":
-            return {"kind": self.kind, "n": self.n, "p": str(self.p), "L": str(self.L)}
-        raise GameValidationError(f"unknown structure kind {self.kind!r}")
+        _, fields = self._entry()
+        return {"kind": self.kind, **{f: _CODECS[f][1](getattr(self, f)) for f in fields}}
 
 
 @dataclass(frozen=True)
@@ -295,16 +279,6 @@ class Game:
         }
 
 
-_REQUIRED_FIELDS = {
-    "random": ("votes",),
-    "deterministic": ("votes",),
-    "bernoulli": ("votes", "p"),
-    "pmf": ("entries",),
-    "team": ("weights", "p", "L"),
-    "uniform_team": ("n", "p", "L"),
-}
-
-
 def _json_int(value, where: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise GameValidationError(f"{where}: expected an integer, got {value!r}")
@@ -323,15 +297,52 @@ def _json_probability(value, where: str) -> Fraction:
         raise GameValidationError(str(exc)) from exc
 
 
+def _json_weights(raw, where: str) -> tuple[int, ...]:
+    if not isinstance(raw, list) or not raw:
+        raise GameValidationError(f"{where}: expected a non-empty array")
+    return tuple(_json_int(w, f"{where}[{i}]") for i, w in enumerate(raw))
+
+
+def _json_entries(raw, where: str) -> tuple[tuple[int, Fraction], ...]:
+    if not isinstance(raw, list) or not raw:
+        raise GameValidationError(f"{where}: expected a non-empty array")
+    entries = []
+    for i, item in enumerate(raw):
+        spot = f"{where}[{i}]"
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise GameValidationError(f"{spot}: expected a [votes, probability] pair")
+        entries.append(
+            (_json_int(item[0], f"{spot}[0]"), _json_probability(item[1], f"{spot}[1]"))
+        )
+    return tuple(entries)
+
+
+def _as_is(value):
+    return value
+
+
+# How each structure field is read from a document (decode) and written back
+# (encode).  Probabilities are written as exact fraction strings.
+_CODECS = {
+    "votes": (_json_int, _as_is),
+    "n": (_json_int, _as_is),
+    "p": (_json_probability, str),
+    "L": (_json_probability, str),
+    "weights": (_json_weights, list),
+    "entries": (_json_entries, lambda entries: [[v, str(q)] for v, q in entries]),
+}
+
+
 def _spec_from_json(obj, where: str) -> StructureSpec:
     if not isinstance(obj, dict):
         raise GameValidationError(f"{where}: expected an object")
     kind = obj.get("kind")
-    if kind not in _REQUIRED_FIELDS:
+    # A tuple test, not a dict lookup, so an unhashable kind is reported too.
+    if kind not in KINDS:
         raise GameValidationError(
             f"{where}.kind: unknown structure kind {kind!r} (expected one of {list(KINDS)})"
         )
-    required = _REQUIRED_FIELDS[kind]
+    required = _KINDS[kind][1]
     missing = [f for f in required if f not in obj]
     if missing:
         raise GameValidationError(f"{where}: missing fields {missing} for kind {kind!r}")
@@ -339,36 +350,8 @@ def _spec_from_json(obj, where: str) -> StructureSpec:
     if extras:
         raise GameValidationError(f"{where}: unexpected fields {extras} for kind {kind!r}")
 
-    fields: dict = {"kind": kind}
-    if "votes" in required:
-        fields["votes"] = _json_int(obj["votes"], f"{where}.votes")
-    if "n" in required:
-        fields["n"] = _json_int(obj["n"], f"{where}.n")
-    if "p" in required:
-        fields["p"] = _json_probability(obj["p"], f"{where}.p")
-    if "L" in required:
-        fields["L"] = _json_probability(obj["L"], f"{where}.L")
-    if "weights" in required:
-        raw = obj["weights"]
-        if not isinstance(raw, list) or not raw:
-            raise GameValidationError(f"{where}.weights: expected a non-empty array")
-        fields["weights"] = tuple(
-            _json_int(w, f"{where}.weights[{i}]") for i, w in enumerate(raw)
-        )
-    if "entries" in required:
-        raw = obj["entries"]
-        if not isinstance(raw, list) or not raw:
-            raise GameValidationError(f"{where}.entries: expected a non-empty array")
-        entries = []
-        for i, item in enumerate(raw):
-            spot = f"{where}.entries[{i}]"
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise GameValidationError(f"{spot}: expected a [votes, probability] pair")
-            entries.append(
-                (_json_int(item[0], f"{spot}[0]"), _json_probability(item[1], f"{spot}[1]"))
-            )
-        fields["entries"] = tuple(entries)
-    return StructureSpec(**fields)
+    fields = {f: _CODECS[f][0](obj[f], f"{where}.{f}") for f in required}
+    return StructureSpec(kind, **fields)
 
 
 def load_game(doc) -> Game:

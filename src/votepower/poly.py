@@ -55,11 +55,6 @@ class RationalPoly:
                     cleaned[degree] = value
         self._coeffs = cleaned
 
-    @classmethod
-    def term(cls, degree: int, coeff: Coefficient) -> RationalPoly:
-        """The single term ``coeff * x^degree``."""
-        return cls({degree: coeff})
-
     def coeff(self, degree: int) -> Fraction:
         """Coefficient of x^degree; zero if the term is absent."""
         return self._coeffs.get(degree, _ZERO)
@@ -142,15 +137,21 @@ class RationalPoly:
     def __pow__(self, exponent: int) -> RationalPoly:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
-        result = ONE
+        if not exponent:
+            return ONE
+        # Square up to the lowest set bit and start the result there, so no
+        # product is spent multiplying by ONE.
         base = self
-        n = exponent
-        while n:
-            if n & 1:
+        while not exponent & 1:
+            base = base * base
+            exponent >>= 1
+        result = base
+        exponent >>= 1
+        while exponent:
+            base = base * base
+            if exponent & 1:
                 result = result * base
-            n >>= 1
-            if n:
-                base = base * base
+            exponent >>= 1
         return result
 
     def __bool__(self) -> bool:

@@ -131,16 +131,17 @@ def senate_113(
     }
 
 
+# Each preset's builder and the options it takes.
 _BUILDERS = {
-    "paper-6-4321-random": paper_6_4321_random,
-    "paper-sec32": paper_sec32,
-    "paper-eq25": paper_eq25,
-    "paper-eq26": paper_eq26,
-    "paper-eq27": paper_eq27,
-    "paper-eq28": paper_eq28,
-    "paper-eq31": paper_eq31,
-    "paper-eq32": paper_eq32,
-    "senate-113": senate_113,
+    "paper-6-4321-random": (paper_6_4321_random, ()),
+    "paper-sec32": (paper_sec32, ()),
+    "paper-eq25": (paper_eq25, ("p",)),
+    "paper-eq26": (paper_eq26, ("p",)),
+    "paper-eq27": (paper_eq27, ("p",)),
+    "paper-eq28": (paper_eq28, ("p",)),
+    "paper-eq31": (paper_eq31, ("p", "L")),
+    "paper-eq32": (paper_eq32, ("p", "L")),
+    "senate-113": (senate_113, ("LD", "LR", "pD", "pR", "cohesion")),
 }
 
 PRESETS = tuple(_BUILDERS)
@@ -152,12 +153,11 @@ def preset_doc(name: str, **options) -> dict:
     Options (p, L, LD, LR, pD, pR, cohesion) are passed to the preset
     builder; options the preset does not take are rejected.
     """
-    builder = _BUILDERS.get(name)
-    if builder is None:
+    if name not in PRESETS:
         raise InputError(f"unknown preset {name!r} (available: {', '.join(PRESETS)})")
+    builder, allowed = _BUILDERS[name]
     supplied = {k: v for k, v in options.items() if v is not None}
-    allowed = set(builder.__code__.co_varnames[: builder.__code__.co_argcount])
-    rejected = sorted(set(supplied) - allowed)
+    rejected = sorted(set(supplied) - set(allowed))
     if rejected:
         raise InputError(f"preset {name!r} does not take options {rejected}")
     return builder(**supplied)

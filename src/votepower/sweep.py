@@ -17,7 +17,7 @@ from itertools import product
 from typing import Mapping, Sequence
 
 from .errors import DegenerateGameError, InputError
-from .model import Game, ProbabilityLike, VoteDistribution, as_probability
+from .model import PARAMETERS, Game, ProbabilityLike, VoteDistribution, as_probability
 from .power import PowerReport, generalized_banzhaf, influence_polynomial
 
 HALF = Fraction(1, 2)
@@ -31,10 +31,9 @@ class ParamRef:
     field: str
 
     def __post_init__(self) -> None:
-        if self.field not in ("p", "L"):
-            raise InputError(
-                f"unknown parameter field {self.field!r} (expected 'p' or 'L')"
-            )
+        if self.field not in PARAMETERS:
+            expected = " or ".join(map(repr, PARAMETERS))
+            raise InputError(f"unknown parameter field {self.field!r} (expected {expected})")
 
     @property
     def key(self) -> str:

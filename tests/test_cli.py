@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from votepower.cli import main
+from votepower.errors import InputError
 from votepower.presets import preset_doc
 
 F = Fraction
@@ -237,6 +238,24 @@ class TestVerifyCommand:
         assert "monte carlo A" in fails[0]
 
 
+class TestPresetDoc:
+    def test_rejects_options_the_preset_does_not_take(self):
+        with pytest.raises(InputError, match=r"does not take options \['L'\]"):
+            preset_doc("paper-eq25", p="1/3", L="1/2")
+        with pytest.raises(InputError, match=r"does not take options \['p'\]"):
+            preset_doc("senate-113", p="1/2", LD="0")
+
+    def test_passes_the_options_it_takes(self):
+        doc = preset_doc("senate-113", LD="0", pR="9/10", cohesion="paper-text")
+        dem, rep = (player["structure"] for player in doc["players"][:2])
+        assert (dem["L"], dem["p"], rep["p"]) == ("0", "0.94", "9/10")
+
+    @pytest.mark.parametrize("name", ["nope", ["paper-eq25"]])
+    def test_unknown_preset(self, name):
+        with pytest.raises(InputError, match="unknown preset"):
+            preset_doc(name)
+
+
 class TestExitCodes:
     def test_unknown_preset(self, capsys):
         # argparse rejects bad --preset choices itself, also with code 2.
@@ -260,6 +279,16 @@ class TestExitCodes:
         path.write_text(json.dumps(preset_doc("paper-6-4321-random")))
         code, _ = run(capsys, "power", "--game", str(path), "--preset", "paper-6-4321-random")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--preset", "paper-6-4321-random", "--strict-influence"],
+        ["power", "--preset", "paper-6-4321-random", "--exact"],
+    ])
+    def test_flag_the_subcommand_does_not_read(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_unknown_player(self, capsys):
         code, _ = run(capsys, "influence-poly", "--preset", "paper-6-4321-random", "--player", "Z")

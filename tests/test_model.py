@@ -1,5 +1,7 @@
 """Voting-structure constructors, validation, and the game loader."""
 
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +10,7 @@ import pytest
 from conftest import random_distribution
 from votepower.errors import GameValidationError, InputError
 from votepower.model import (
+    KINDS,
     Game,
     Player,
     StructureSpec,
@@ -20,6 +23,7 @@ from votepower.model import (
     team_structure,
     uniform_team_structure,
 )
+from votepower.oracle import joint_distribution_enum
 from votepower.poly import ONE, RationalPoly
 
 F = Fraction
@@ -153,6 +157,16 @@ class TestTeamStructure:
         with pytest.raises(GameValidationError):
             team_structure((1, 0), HALF, HALF)
 
+    def test_mixes_enumerated_follow_and_defy(self):
+        # Independent of the grouped powers inside team_structure: enumerate
+        # every member's vote, all following the leader's wish or all defying it.
+        weights = (3, 2, 2, 1, 1, 1)
+        for p in PROB_GRID:
+            for L in PROB_GRID:
+                follow = joint_distribution_enum([bernoulli_structure(w, p) for w in weights])
+                defy = joint_distribution_enum([bernoulli_structure(w, 1 - p) for w in weights])
+                assert team_structure(weights, p, L).pmf == L * follow + (1 - L) * defy
+
 
 class TestUniformTeamStructure:
     def test_unanimous(self):
@@ -180,6 +194,17 @@ class TestUniformTeamStructure:
     def test_bad_size_rejected(self):
         with pytest.raises(GameValidationError):
             uniform_team_structure(0, HALF, HALF)
+
+    @pytest.mark.parametrize("n", [1, 5, 53])
+    def test_binomial_mixture(self, n):
+        for p in (F(0), F(1, 3), F(47, 50), F(1)):
+            for L in (F(0), F(2, 5), F(1)):
+                dist = uniform_team_structure(n, p, L)
+                for j in range(n + 1):
+                    ways = math.comb(n, j)
+                    expected = (L * ways * p**j * (1 - p) ** (n - j)
+                                + (1 - L) * ways * (1 - p) ** j * p ** (n - j))
+                    assert dist.prob_exactly(j) == expected, (p, L, j)
 
 
 class TestRandomDistributions:
@@ -307,6 +332,31 @@ class TestLoadGame:
         again = load_game(game.to_doc())
         assert again == game
 
+    def test_six_kinds_round_trip_to_the_same_document(self):
+        # Canonical fraction strings come back unchanged, and in the same
+        # key order: "kind" first, then the kind's fields in document order.
+        doc = {
+            "quota": 12,
+            "players": [
+                {"name": "r", "structure": {"kind": "random", "votes": 3}},
+                {"name": "d", "structure": {"kind": "deterministic", "votes": 2}},
+                {"name": "b", "structure": {"kind": "bernoulli", "votes": 4, "p": "3/10"}},
+                {"name": "m", "structure": {"kind": "pmf", "entries": [[0, "1/4"], [2, "3/4"]]}},
+                {"name": "t", "structure": {"kind": "team", "weights": [2, 1], "p": "7/10", "L": "2/5"}},
+                {"name": "u", "structure": {"kind": "uniform_team", "n": 3, "p": "9/10", "L": "0"}},
+            ],
+        }
+        game = load_game(doc)
+        assert game.to_doc() == doc
+        assert json.dumps(game.to_doc()) == json.dumps(doc)
+        assert load_game(game.to_doc()) == game
+
+    def test_unhashable_kind_rejected(self):
+        doc = doc_6_4321()
+        doc["players"][0]["structure"] = {"kind": ["random"], "votes": 4}
+        with pytest.raises(GameValidationError, match="unknown structure kind"):
+            load_game(doc)
+
 
 class TestGame:
     def test_improper_game_is_flagged_not_rejected(self):
@@ -360,3 +410,18 @@ class TestGame:
     def test_needs_at_least_one_player(self):
         with pytest.raises(GameValidationError):
             Game(3, ())
+
+
+KIND_PARAMETERS = {
+    "random": (),
+    "deterministic": (),
+    "bernoulli": ("p",),
+    "pmf": (),
+    "team": ("p", "L"),
+    "uniform_team": ("p", "L"),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kind_parameters(kind):
+    assert StructureSpec(kind=kind).parameters() == KIND_PARAMETERS[kind]
