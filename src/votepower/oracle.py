@@ -58,10 +58,7 @@ def influence_first_principles(game: Game, who: str) -> Fraction:
     others = [p.structure for p in game.players if p.name != who]
     totals = joint_distribution_enum(others)
     result = Fraction(0)
-    for z in range(game.quota):
-        p_z = totals.coeff(z)
-        if not p_z:
-            continue
+    for z, p_z in totals.extract(0, game.quota - 1).items():
         v = focal.structure.prob_at_least(game.quota - z)
         result += p_z * min(v, 1 - v)
     return result

@@ -36,8 +36,11 @@ def classic_banzhaf(
     """Count, over all 2^n coalitions, how often each player is marginal.
 
     A player is marginal for a coalition when entering or leaving it changes
-    whether the coalition meets the quota.  Powers are the counts normalized
-    by their total (all zero if nobody is ever marginal).
+    whether the coalition meets the quota.  Each such swing pairs a losing
+    coalition without the player with the winning one it becomes when the
+    player joins, so it is counted once, from its losing side, as 2.  Powers
+    are the counts normalized by their total (all zero if nobody is ever
+    marginal).
     """
     weights = tuple(weights)
     if not weights:
@@ -62,12 +65,11 @@ def classic_banzhaf(
             low = m & -m
             total += weights[low.bit_length() - 1]
             m ^= low
+        if total >= quota:
+            continue
         for i, w in enumerate(weights):
-            if mask >> i & 1:
-                if total >= quota and total - w < quota:
-                    counts[i] += 1
-            elif total < quota and total + w >= quota:
-                counts[i] += 1
+            if not mask >> i & 1 and total + w >= quota:
+                counts[i] += 2
 
     grand = sum(counts)
     if grand:
@@ -104,22 +106,18 @@ def influence_polynomial(
 
     By default v_Z sums the structure's full support and the Z = 0 term is
     included, so a player whose own weight reaches the quota keeps the
-    influence the coalition count gives them.  ``strict=True`` restricts the
-    support to vote counts below the quota and starts at Z = 1, which
-    assigns zero influence to such a player.
+    influence the coalition count gives them.  ``strict=True`` applies that
+    definition to the vote counts below the quota only, so v_0 = 0 and such a
+    player has zero influence.
     """
     if not isinstance(quota, int) or quota < 1:
         raise InputError(f"quota must be a positive integer, got {quota!r}")
+    pmf = dist.pmf.extract(0, quota - 1) if strict else dist.pmf
+    v = sum((c for d, c in pmf.items() if d > quota), Fraction(0))
     coeffs: dict[int, Fraction] = {}
-    start = 1 if strict else 0
-    for z in range(start, quota):
-        need = quota - z
-        if strict:
-            v = sum(
-                (c for d, c in dist.pmf.items() if need <= d <= quota - 1), Fraction(0)
-            )
-        else:
-            v = dist.prob_at_least(need)
+    # v_Z is 0 below Z = quota - max_votes and grows by P(quota - Z) per step.
+    for z in range(max(0, quota - pmf.degree), quota):
+        v += pmf.coeff(quota - z)
         gamma = min(v, 1 - v)
         if gamma:
             coeffs[z] = gamma

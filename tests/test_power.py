@@ -1,6 +1,7 @@
 """Both power engines and their agreement on all-or-nothing games."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -283,6 +284,18 @@ class TestGeneralizedBanzhaf:
         )
         with pytest.raises(DegenerateGameError):
             generalized_banzhaf(Game(6, players))
+
+    def test_quota_far_above_the_votes_is_cheap(self):
+        # Only thresholds within max_votes of the quota can be undecided, so
+        # the cost must not grow with the quota.
+        game = all_random_game(10**6, (3, 4))
+        started = time.perf_counter()
+        for strict in (False, True):
+            for player in game.players:
+                assert influence(game, player.name, strict) == 0
+            with pytest.raises(DegenerateGameError):
+                generalized_banzhaf(game, strict)
+        assert time.perf_counter() - started < 1
 
     def test_powers_sum_to_one(self):
         rng = random.Random(101)
