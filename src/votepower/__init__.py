@@ -37,6 +37,7 @@ from .oracle import (
 from .poly import ONE, ZERO, RationalPoly
 from .power import (
     ENUMERATION_CAP,
+    SERIES_CAP,
     BanzhafReport,
     PowerReport,
     classic_banzhaf,
@@ -80,6 +81,7 @@ __all__ = [
     "Player",
     "PowerReport",
     "RationalPoly",
+    "SERIES_CAP",
     "SensitivityReport",
     "StructureSpec",
     "SweepAxis",

@@ -11,16 +11,91 @@ carrier:
 
 Every operation is exact; nothing in this module touches floating point, so
 polynomial identities can be asserted with ``==``.
+
+Products go through one integer engine, ``int_product``: each factor is
+scaled to integer numerators over its least common denominator
+(``RationalPoly.scaled``), the numerators are convolved, and the result is
+divided once by the product of the denominators
+(``RationalPoly.from_integers``).  The engine cuts the product at a given
+degree, so callers that only need the low coefficients, such as the losing
+tails below a quota, never build the rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Union
 
 Coefficient = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
+
+
+def int_product(a: Mapping[int, int], b: Mapping[int, int], top: int) -> dict[int, int]:
+    """Exact product of two integer polynomials, cut above degree ``top``.
+
+    Both inputs map degree to a nonzero integer coefficient, of either sign;
+    terms above ``top`` are ignored.  The result is in the same form.
+
+    Sparse inputs, whose term pairs number no more than the output has
+    degrees, are multiplied term by term.  Otherwise both are evaluated at
+    x = 2^k, with k wide enough that no product coefficient overflows its
+    slot (Kronecker substitution), multiplied as one integer, and the
+    coefficients are read back from the product's bytes.
+    """
+    a, b = _cut(a, top), _cut(b, top)
+    if not a or not b:
+        return {}
+    length = min(max(a) + max(b), top) + 1
+    if len(a) * len(b) <= length:
+        out: dict[int, int] = {}
+        for da, ca in a.items():
+            for db, cb in b.items():
+                if da + db <= top:
+                    out[da + db] = out.get(da + db, 0) + ca * cb
+        return {d: c for d, c in out.items() if c}
+
+    def largest(terms: Mapping[int, int]) -> int:
+        return max(max(terms.values()), -min(terms.values()))
+
+    # Each slot holds a coefficient plus an offset of half the slot, so
+    # signed coefficients read back as unsigned bytes.
+    bound = min(len(a), len(b)) * largest(a) * largest(b)
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    offset = int.from_bytes(half.to_bytes(width, "little") * length, "little")
+    packed = _evaluate(a, width) * _evaluate(b, width) + offset
+    data = (packed & ((1 << (8 * width * length)) - 1)).to_bytes(width * length, "little")
+    coeffs = (
+        int.from_bytes(data[i:i + width], "little") - half for i in range(0, len(data), width)
+    )
+    return {d: c for d, c in enumerate(coeffs) if c}
+
+
+def _cut(terms: Mapping[int, int], top: int) -> Mapping[int, int]:
+    """The terms of degree at most ``top``."""
+    if max(terms, default=0) <= top:
+        return terms
+    return {d: c for d, c in terms.items() if d <= top}
+
+
+def _evaluate(terms: Mapping[int, int], width: int) -> int:
+    """The polynomial's value at x = 2^(8 * width), for coefficients that fit
+    in ``width`` bytes."""
+    length = max(terms) + 1
+
+    def pack(magnitudes: Mapping[int, int]) -> int:
+        slots = [bytes(width)] * length
+        for d, c in magnitudes.items():
+            slots[d] = c.to_bytes(width, "little")
+        return int.from_bytes(b"".join(slots), "little")
+
+    if min(terms.values()) > 0:
+        return pack(terms)
+    return pack({d: c for d, c in terms.items() if c > 0}) - pack(
+        {d: -c for d, c in terms.items() if c < 0}
+    )
 
 
 def _exact(value: Coefficient) -> Fraction:
@@ -86,6 +161,20 @@ class RationalPoly:
             {d: c for d, c in self._coeffs.items() if lo <= d and (hi is None or d <= hi)}
         )
 
+    def scaled(self) -> tuple[int, dict[int, int]]:
+        """The least common denominator of the coefficients, and the integer
+        numerators over it, keyed by degree."""
+        den = lcm(*(c.denominator for c in self._coeffs.values()))
+        return den, {d: c.numerator * (den // c.denominator) for d, c in self._coeffs.items()}
+
+    @classmethod
+    def from_integers(cls, numerators: Mapping[int, int], den: int) -> RationalPoly:
+        """The polynomial with coefficient numerators[d] / den at each degree d;
+        the inverse of ``scaled``."""
+        poly = cls.__new__(cls)
+        poly._coeffs = {d: Fraction(c, den) for d, c in numerators.items() if c}
+        return poly
+
     def dot(self, other: RationalPoly) -> Fraction:
         """Sum of products of coefficients at common degrees."""
         a, b = self._coeffs, other._coeffs
@@ -116,15 +205,10 @@ class RationalPoly:
 
     def __mul__(self, other: RationalPoly | Coefficient) -> RationalPoly:
         if isinstance(other, RationalPoly):
-            if not self._coeffs or not other._coeffs:
-                return ZERO
-            # Vote-structure products fill in nearly every degree, so a dense
-            # accumulator up to the product degree beats a dict here.
-            acc = [_ZERO] * (self.degree + other.degree + 1)
-            for da, ca in self._coeffs.items():
-                for db, cb in other._coeffs.items():
-                    acc[da + db] += ca * cb
-            return RationalPoly({d: c for d, c in enumerate(acc) if c})
+            den_a, a = self.scaled()
+            den_b, b = other.scaled()
+            top = self.degree + other.degree
+            return RationalPoly.from_integers(int_product(a, b, top), den_a * den_b)
         if isinstance(other, (int, str, Fraction)):
             scalar = Fraction(other)
             if not scalar:

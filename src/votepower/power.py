@@ -5,21 +5,32 @@ all-or-nothing weighted game.  The generating-function route
 (``losing_tail``, ``influence_polynomial``, ``generalized_banzhaf``) handles
 arbitrary voting structures and reduces exactly to the classic index when
 every player votes all-or-nothing with probability one half.
+
+The route works on integers: each vote distribution is scaled once to
+integer numerators over its own denominator, products of distributions go
+through ``poly.int_product`` cut below the quota, and the undecided
+fractions min(v_Z, 1 - v_Z) come from one integer running sum over the
+window of thresholds the player can still tip.  Fractions are formed only
+at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import prod
 from typing import Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError
 from .model import Game, VoteDistribution
-from .poly import ONE, RationalPoly
+from .poly import RationalPoly, int_product
 
 # Above this many players the 2^n coalition walk stops being desk-scale.
 ENUMERATION_CAP = 24
+
+# Above this many degrees a dense coefficient series stops being printable.
+SERIES_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,25 @@ def classic_banzhaf(
     return BanzhafReport(tuple(counts), powers)
 
 
+def _undecided(den: int, pmf: dict[int, int], quota: int, strict: bool) -> dict[int, int]:
+    """den * min(v_Z, 1 - v_Z) at each Z where it is nonzero, for a vote
+    distribution given as integer numerators over ``den``.
+
+    v_Z is one running sum: 0 below Z = quota - max_votes, starting from the
+    mass above the quota and growing by P(quota - Z) per step.
+    """
+    if strict:
+        pmf = {d: c for d, c in pmf.items() if d < quota}
+    v = sum(c for d, c in pmf.items() if d > quota)
+    out = {}
+    for z in range(max(0, quota - max(pmf, default=0)), quota):
+        v += pmf.get(quota - z, 0)
+        gamma = min(v, den - v)
+        if gamma:
+            out[z] = gamma
+    return out
+
+
 def losing_tail(game: Game, excluded: str) -> RationalPoly:
     """Distribution of the other players' vote total, truncated below quota.
 
@@ -87,10 +117,11 @@ def losing_tail(game: Game, excluded: str) -> RationalPoly:
     coalitions the excluded player could still tip.
     """
     game.player(excluded)  # raises InputError for unknown names
-    joint = prod(
-        (p.structure.pmf for p in game.players if p.name != excluded), start=ONE
+    scaled = [p.structure.pmf.scaled() for p in game.players if p.name != excluded]
+    tail = reduce(
+        lambda acc, pmf: int_product(acc, pmf, game.quota - 1), (pmf for _, pmf in scaled), {0: 1}
     )
-    return joint.extract(0, game.quota - 1)
+    return RationalPoly.from_integers(tail, prod(den for den, _ in scaled))
 
 
 def influence_polynomial(
@@ -112,16 +143,8 @@ def influence_polynomial(
     """
     if not isinstance(quota, int) or quota < 1:
         raise InputError(f"quota must be a positive integer, got {quota!r}")
-    pmf = dist.pmf.extract(0, quota - 1) if strict else dist.pmf
-    v = sum((c for d, c in pmf.items() if d > quota), Fraction(0))
-    coeffs: dict[int, Fraction] = {}
-    # v_Z is 0 below Z = quota - max_votes and grows by P(quota - Z) per step.
-    for z in range(max(0, quota - pmf.degree), quota):
-        v += pmf.coeff(quota - z)
-        gamma = min(v, 1 - v)
-        if gamma:
-            coeffs[z] = gamma
-    return RationalPoly(coeffs)
+    den, pmf = dist.pmf.scaled()
+    return RationalPoly.from_integers(_undecided(den, pmf, quota, strict), den)
 
 
 def influence(game: Game, who: str, strict: bool = False) -> Fraction:
@@ -142,8 +165,31 @@ class PowerReport:
 
 
 def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:
-    """Influence of every player, normalized to a power vector summing to 1."""
-    influences = {p.name: influence(game, p.name, strict=strict) for p in game.players}
+    """Influence of every player, normalized to a power vector summing to 1.
+
+    Every pmf is scaled once to integers over its own denominator.  Player
+    i's losing tail is the product of the prefix of players before i and
+    the suffix after i, both truncated below the quota, so the n tails cost
+    about 3n products.  Each influence is one integer dot product over the
+    player's window, divided by the product of all the denominators.
+    """
+    quota = game.quota
+    scaled = [p.structure.pmf.scaled() for p in game.players]
+    # prefix[i] is the product over the players before i, suffix[i] over those after i.
+    prefix = [{0: 1}]
+    for _, pmf in scaled[:-1]:
+        prefix.append(int_product(prefix[-1], pmf, quota - 1))
+    suffix = [{0: 1}]
+    for _, pmf in reversed(scaled[1:]):
+        suffix.append(int_product(suffix[-1], pmf, quota - 1))
+    suffix.reverse()
+    den = prod(d for d, _ in scaled)
+    influences = {}
+    for player, (den_i, pmf), before, after in zip(game.players, scaled, prefix, suffix):
+        tail = int_product(before, after, quota - 1)
+        window = _undecided(den_i, pmf, quota, strict)
+        dot = sum(gamma * tail.get(z, 0) for z, gamma in window.items())
+        influences[player.name] = Fraction(dot, den)
     total = sum(influences.values(), Fraction(0))
     if not total:
         raise DegenerateGameError(

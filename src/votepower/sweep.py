@@ -16,9 +16,9 @@ from fractions import Fraction
 from itertools import product
 from typing import Mapping, Sequence
 
-from .errors import DegenerateGameError, InputError
+from .errors import CapacityError, DegenerateGameError, InputError
 from .model import PARAMETERS, Game, ProbabilityLike, VoteDistribution, as_probability
-from .power import PowerReport, generalized_banzhaf, influence_polynomial
+from .power import SERIES_CAP, PowerReport, generalized_banzhaf, influence_polynomial
 
 HALF = Fraction(1, 2)
 
@@ -276,9 +276,15 @@ def structure_series(
     """Dense coefficient series of a structure and its influence polynomial.
 
     Returns (pmf coefficients for 0..max_votes, influence coefficients for
-    0..quota-1), ready to plot or dump as CSV.
+    0..quota-1), ready to plot or dump as CSV.  Raises CapacityError when
+    either would run past ``SERIES_CAP`` degrees.
     """
-    pmf = tuple(dist.pmf.coeff(j) for j in range(dist.max_votes + 1))
     ipoly = influence_polynomial(dist, quota, strict=strict)
+    length = max(dist.max_votes + 1, quota)
+    if length > SERIES_CAP:
+        raise CapacityError(
+            f"a series of {length} degrees exceeds the series cap of {SERIES_CAP}"
+        )
+    pmf = tuple(dist.pmf.coeff(j) for j in range(dist.max_votes + 1))
     infl = tuple(ipoly.coeff(z) for z in range(quota))
     return pmf, infl

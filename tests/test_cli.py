@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, determinism."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,41 @@ class TestSeriesCommand:
         assert lines[1] == "0,0,0"
         assert lines[5] == "4,1,0"
         assert all(line.split(",")[2] == "0" for line in lines[1:])
+
+
+    def test_quota_above_the_series_cap_exits_4(self, capsys, tmp_path):
+        doc = {
+            "quota": 10**9,
+            "players": [
+                {"name": "A", "structure": {"kind": "random", "votes": 3}},
+                {"name": "B", "structure": {"kind": "random", "votes": 4}},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        code, out = run(capsys, "series", "--game", str(path), "--player", "A")
+        assert time.perf_counter() - started < 1
+        assert code == 4
+        assert out == ""
+
+    def test_quota_below_the_series_cap_prints_every_degree(self, capsys, tmp_path):
+        doc = {
+            "quota": 10**5,
+            "players": [
+                {"name": "A", "structure": {"kind": "random", "votes": 3}},
+                {"name": "B", "structure": {"kind": "random", "votes": 4}},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "series", "--game", str(path), "--player", "A", "--exact")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 10**5
+        assert lines[1:5] == ["0,1/2,0", "1,0,0", "2,0,0", "3,1/2,0"]
+        assert lines[5] == "4,,0"
+        assert lines[-3:] == ["99997,,1/2", "99998,,1/2", "99999,,1/2"]
 
 
 class TestVerifyCommand:

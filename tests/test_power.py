@@ -297,6 +297,42 @@ class TestGeneralizedBanzhaf:
                 generalized_banzhaf(game, strict)
         assert time.perf_counter() - started < 1
 
+    def test_fifty_players_are_fast(self):
+        # The n losing tails come from prefix and suffix products, so the
+        # cost grows with n, not n^2; all-pairs products take seconds here.
+        players = tuple(
+            Player.from_spec(
+                f"P{i}",
+                StructureSpec(kind="bernoulli", votes=1 + i % 10, p=F(i + 1, 2 * i + 3)),
+            )
+            for i in range(50)
+        )
+        game = Game(138, players)  # just over half of the 275 votes
+        started = time.perf_counter()
+        report = generalized_banzhaf(game)
+        assert time.perf_counter() - started < 2
+        assert sum(report.powers.values()) == 1
+        assert report.influences["P0"] == influence(game, "P0")
+
+    def test_far_support_points_stay_sparse(self):
+        # Support points far above the quota add to each lift's starting mass
+        # but must not make any coefficient list grow with max_votes.
+        far = 10**7
+        players = (
+            Player.from_spec("A", StructureSpec(kind="pmf", entries=(
+                (0, F(1, 4)), (2, F(1, 4)), (6, F(1, 4)), (far, F(1, 4))))),
+            Player.from_spec("B", StructureSpec(kind="pmf", entries=(
+                (1, HALF), (3, F(1, 8)), (5, F(1, 8)), (far, F(1, 4))))),
+            Player.from_spec("C", StructureSpec(kind="random", votes=1)),
+        )
+        game = Game(10, players)
+        started = time.perf_counter()
+        assert generalized_banzhaf(game).influences == {
+            "A": F(15, 64), "B": F(15, 64), "C": F(1, 64)}
+        assert generalized_banzhaf(game, True).influences == {
+            "A": F(3, 64), "B": F(3, 64), "C": F(1, 64)}
+        assert time.perf_counter() - started < 1
+
     def test_powers_sum_to_one(self):
         rng = random.Random(101)
         for _ in range(25):

@@ -1,16 +1,26 @@
-"""Property tests: the influence polynomial against its definition, and the
-generalized index against classic Banzhaf counts under random voting.
+"""Property tests: the influence polynomial against its definition, the
+generalized index against classic Banzhaf counts under random voting and
+against first-principles influence, and the integer product engine against
+enumerated products.
 
 Examples are derandomized, so every run checks the same games.
 """
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from conftest import enum_product
+from votepower.errors import DegenerateGameError
 from votepower.model import Game, Player, StructureSpec, pmf_structure
-from votepower.poly import RationalPoly
-from votepower.power import classic_banzhaf, influence, influence_polynomial
+from votepower.oracle import influence_first_principles, joint_distribution_enum
+from votepower.poly import RationalPoly, int_product
+from votepower.power import (
+    classic_banzhaf,
+    generalized_banzhaf,
+    influence,
+    influence_polynomial,
+)
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -72,3 +82,92 @@ def test_classic_counts_are_random_voting_influences(game):
     assert counts == tuple(
         2 ** (n + 1) * influence(random_game, p.name) for p in players
     )
+
+
+# Small and wide magnitudes of both signs: slot widths from one byte up.
+coefficients = st.one_of(st.integers(-9, 9), st.integers(-(2**80), 2**80)).filter(bool)
+int_polys = st.one_of(
+    st.just({}),
+    st.dictionaries(st.integers(0, 12), coefficients, max_size=13),  # dense
+    st.dictionaries(st.integers(0, 300), coefficients, max_size=3),  # sparse
+    # Equal coefficients make a product coefficient reach the slot bound.
+    st.builds(dict.fromkeys, st.integers(1, 12).map(range), coefficients),
+)
+
+
+@deterministic
+@given(int_polys, int_polys)
+# Its middle coefficient, 2^15, fills the top bit of a two-byte slot.
+@example({0: 128, 1: 128}, {0: 128, 1: 128})
+def test_int_product_is_the_enumerated_product_cut_at_every_degree(a, b):
+    expanded = enum_product([RationalPoly(a), RationalPoly(b)])
+    for top in range(max(a, default=0) + max(b, default=0) + 2):
+        assert RationalPoly(int_product(a, b, top)) == expanded.extract(0, top)
+
+
+# Up to 4 support points over 0..8 votes, as pmf entries.
+small_entries = st.lists(
+    st.tuples(st.integers(0, 8), st.integers(1, 9)),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda entry: entry[0],
+).map(lambda entries: tuple((d, Fraction(w, sum(w for _, w in entries))) for d, w in entries))
+
+
+@st.composite
+def pmf_games(draw):
+    players = tuple(
+        Player.from_spec(f"P{i}", StructureSpec("pmf", entries=entries))
+        for i, entries in enumerate(draw(st.lists(small_entries, min_size=1, max_size=4)))
+    )
+    return Game(draw(st.integers(1, 1 + sum(p.structure.max_votes for p in players))), players)
+
+
+def strict_influence_first_principles(game, who):
+    # The strict lift counts only the player's vote totals below the quota.
+    focal = game.player(who).structure
+    totals = joint_distribution_enum([p.structure for p in game.players if p.name != who])
+    result = Fraction(0)
+    for z, p_z in totals.items():
+        if not 0 < z < game.quota:
+            continue
+        v = sum(focal.prob_exactly(d) for d in range(game.quota - z, game.quota))
+        result += p_z * min(v, 1 - v)
+    return result
+
+
+def influences_or_none(game, strict=False):
+    try:
+        return generalized_banzhaf(game, strict).influences
+    except DegenerateGameError:
+        return None
+
+
+@deterministic
+@given(pmf_games())
+def test_generalized_influences_are_first_principles(game):
+    for strict, oracle in (
+        (False, influence_first_principles),
+        (True, strict_influence_first_principles),
+    ):
+        expected = {name: oracle(game, name) for name in game.names()}
+        if not any(expected.values()):
+            expected = None
+        assert influences_or_none(game, strict) == expected
+
+
+@deterministic
+@given(pmf_games(), st.randoms(use_true_random=False))
+def test_powers_do_not_depend_on_player_order(game, rnd):
+    shuffled = list(game.players)
+    rnd.shuffle(shuffled)
+    reordered = Game(game.quota, tuple(shuffled))
+    for strict in (False, True):
+        try:
+            report = generalized_banzhaf(game, strict)
+        except DegenerateGameError:
+            assert influences_or_none(reordered, strict) is None
+            continue
+        other = generalized_banzhaf(reordered, strict)
+        assert other.influences == report.influences
+        assert other.powers == report.powers
