@@ -281,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="influences and generalized powers")
     p.set_defaults(handler=cmd_power)
 
-    p = sub.add_parser("banzhaf", parents=[output], help="classic index by coalition enumeration")
+    p = sub.add_parser("banzhaf", parents=[output],
+                       help="classic index from the coalition-counting polynomial")
     p.add_argument("quota", type=int)
     p.add_argument("weights", type=int, nargs="+")
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="player-count enumeration cap")
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP, help="player-count cap")
     p.set_defaults(handler=cmd_banzhaf)
 
     p = sub.add_parser("influence-poly", parents=[source, output, strict],

@@ -1,9 +1,10 @@
 """Independent validation routes for the polynomial engines.
 
 Nothing here reuses polynomial multiplication: vote totals are enumerated
-tuple by tuple, influence is recomputed from its definition, and a seeded
-sampler estimates it statistically.  The test suite and the CLI ``verify``
-command compare these against the fast path.
+tuple by tuple, classic swings coalition by coalition, influence is
+recomputed from its definition, and a seeded sampler estimates it
+statistically.  The test suite and the CLI ``verify`` command compare these
+against the fast path.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 from .errors import CapacityError, InputError
 from .model import Game, VoteDistribution
 from .poly import RationalPoly
-from .power import influence_polynomial
+from .power import ENUMERATION_CAP, BanzhafReport, influence_polynomial
 
 ENUM_TUPLE_CAP = 10**6
 
@@ -44,6 +45,32 @@ def joint_distribution_enum(structures: Sequence[VoteDistribution]) -> RationalP
         key = sum(combo)
         totals[key] = totals.get(key, Fraction(0)) + prob
     return RationalPoly(totals)
+
+
+def classic_banzhaf_enum(quota: int, weights: Sequence[int]) -> BanzhafReport:
+    """Classic Banzhaf counts by walking all 2^n coalitions.
+
+    Each losing coalition adds 2 for every outside player whose weight lifts
+    it to the quota, the same counts ``power.classic_banzhaf`` takes from the
+    counting polynomial.
+    """
+    n = len(weights)
+    if n > ENUMERATION_CAP:
+        raise CapacityError(f"{n} players exceeds the enumeration cap of {ENUMERATION_CAP}")
+    counts = [0] * n
+    for mask in range(1 << n):
+        total = 0
+        m = mask
+        while m:
+            low = m & -m
+            total += weights[low.bit_length() - 1]
+            m ^= low
+        if total >= quota:
+            continue
+        for i, w in enumerate(weights):
+            if not mask >> i & 1 and total + w >= quota:
+                counts[i] += 2
+    return BanzhafReport.from_counts(counts)
 
 
 def influence_first_principles(game: Game, who: str) -> Fraction:

@@ -1,7 +1,10 @@
-"""Power engines: coalition enumeration and the generating-function route.
+"""Power engines: the classic index and the generalized index, both built
+from generating functions.
 
-``classic_banzhaf`` counts marginal players over all 2^n coalitions of an
-all-or-nothing weighted game.  The generating-function route
+``classic_banzhaf`` counts marginal players of an all-or-nothing weighted
+game from the counting polynomial prod(1 + x^w_j), whose coefficient of x^z
+is the number of coalitions of weight z, and divides each player's factor
+back out to count the coalitions of the others.  The generalized route
 (``losing_tail``, ``influence_polynomial``, ``generalized_banzhaf``) handles
 arbitrary voting structures and reduces exactly to the classic index when
 every player votes all-or-nothing with probability one half.
@@ -26,7 +29,11 @@ from .errors import CapacityError, DegenerateGameError, InputError
 from .model import Game, VoteDistribution
 from .poly import RationalPoly, int_product
 
-# Above this many players the 2^n coalition walk stops being desk-scale.
+# Above this many players the classic index stops being desk-scale: with
+# distinct large weights no two coalitions share a weight, so the counting
+# polynomial keeps up to 2^n terms below the quota.  With distinct 9-digit
+# weights and the quota just over half, 20 players took 20 s and a 123 MiB
+# peak (Python 3.11, 2-CPU virtual machine); 24 would need over 1.5 GB.
 ENUMERATION_CAP = 24
 
 # Above this many degrees a dense coefficient series stops being printable.
@@ -40,6 +47,14 @@ class BanzhafReport:
     marginal_counts: tuple[int, ...]
     powers: tuple[Fraction, ...]
 
+    @classmethod
+    def from_counts(cls, counts: Sequence[int]) -> BanzhafReport:
+        """The counts with their powers: each count over the total, or all
+        zero if nobody is ever marginal."""
+        grand = sum(counts)
+        powers = tuple(Fraction(c, grand) if grand else Fraction(0) for c in counts)
+        return cls(tuple(counts), powers)
+
 
 def classic_banzhaf(
     quota: int, weights: Sequence[int], cap: int = ENUMERATION_CAP
@@ -52,6 +67,12 @@ def classic_banzhaf(
     player joins, so it is counted once, from its losing side, as 2.  Powers
     are the counts normalized by their total (all zero if nobody is ever
     marginal).
+
+    No coalition is visited.  The counting polynomial prod(1 + x^w_j), cut
+    below the quota, takes n - 1 products on the integer engine.  Dividing
+    player i's factor 1 + x^w_i back out gives the others' coalition counts
+    by weight, rest[z] = full[z] - rest[z - w_i], and the player swings the
+    coalitions of weight quota - w_i to quota - 1.
     """
     weights = tuple(weights)
     if not weights:
@@ -68,26 +89,21 @@ def classic_banzhaf(
             "use the generating-function route for larger games"
         )
 
-    counts = [0] * n
-    for mask in range(1 << n):
-        total = 0
-        m = mask
-        while m:
-            low = m & -m
-            total += weights[low.bit_length() - 1]
-            m ^= low
-        if total >= quota:
-            continue
-        for i, w in enumerate(weights):
-            if not mask >> i & 1 and total + w >= quota:
-                counts[i] += 2
-
-    grand = sum(counts)
-    if grand:
-        powers = tuple(Fraction(c, grand) for c in counts)
-    else:
-        powers = tuple(Fraction(0) for _ in counts)
-    return BanzhafReport(tuple(counts), powers)
+    # full[z] counts the coalitions of weight z, for the losing weights z < quota.
+    factors = [{0: 1, w: 1} for w in weights]
+    full = reduce(lambda acc, f: int_product(acc, f, quota - 1), factors[1:], factors[0])
+    # Sorted: the engine's sparse branch returns degrees out of order.
+    degrees = sorted(z for z in full if z < quota)
+    counts = []
+    for w in weights:
+        # Divide 1 + x^w out of full, lowest degree first; exact over the
+        # integers because the factor's constant term is 1.  rest only has
+        # terms where full does, since neither has negative coefficients.
+        rest: dict[int, int] = {}
+        for z in degrees:
+            rest[z] = full[z] - rest.get(z - w, 0)
+        counts.append(2 * sum(rest[z] for z in degrees if z >= quota - w))
+    return BanzhafReport.from_counts(counts)
 
 
 def _undecided(den: int, pmf: dict[int, int], quota: int, strict: bool) -> dict[int, int]:

@@ -93,6 +93,18 @@ class TestClassicBanzhaf:
             classic_banzhaf(3, (1, 0))
 
 
+def test_twenty_four_players_are_fast():
+    # Counts from walking all 2^24 coalitions, which takes about a minute;
+    # the counting polynomial has at most quota terms.
+    weights = [1 + i % 10 for i in range(24)]  # 120 votes
+    started = time.perf_counter()
+    report = classic_banzhaf(61, weights)
+    assert time.perf_counter() - started < 1
+    by_weight = (463712, 928516, 1395472, 1865784, 2340696,
+                 2821616, 3310164, 3808288, 4318372, 4843640)
+    assert report.marginal_counts == tuple(by_weight[w - 1] for w in weights)
+
+
 class TestLosingTail:
     def test_continuing_example(self):
         eighth = F(1, 8)

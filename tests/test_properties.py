@@ -1,19 +1,25 @@
 """Property tests: the influence polynomial against its definition, the
 generalized index against classic Banzhaf counts under random voting and
-against first-principles influence, and the integer product engine against
-enumerated products.
+against first-principles influence, classic Banzhaf against coalition
+enumeration, the integer product engine against enumerated products, and
+game documents against their round trip.
 
 Examples are derandomized, so every run checks the same games.
 """
 
+import json
 from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import enum_product
 from votepower.errors import DegenerateGameError
-from votepower.model import Game, Player, StructureSpec, pmf_structure
-from votepower.oracle import influence_first_principles, joint_distribution_enum
+from votepower.model import KINDS, Game, Player, StructureSpec, load_game, pmf_structure
+from votepower.oracle import (
+    classic_banzhaf_enum,
+    influence_first_principles,
+    joint_distribution_enum,
+)
 from votepower.poly import RationalPoly, int_product
 from votepower.power import (
     classic_banzhaf,
@@ -82,6 +88,34 @@ def test_classic_counts_are_random_voting_influences(game):
     assert counts == tuple(
         2 ** (n + 1) * influence(random_game, p.name) for p in players
     )
+
+
+@st.composite
+def classic_games(draw, weight_lists):
+    weights = draw(weight_lists)
+    return draw(st.integers(1, sum(weights) + 3)), weights
+
+
+@deterministic
+@given(
+    st.one_of(
+        classic_games(st.lists(st.integers(1, 12), min_size=1, max_size=10)),
+        # Distinct 9-digit weights leave the counting polynomial sparse.
+        classic_games(
+            st.lists(st.integers(10**8, 10**9 - 1), min_size=1, max_size=10, unique=True)
+        ),
+        # Small and large weights mixed make sparse products in which
+        # coalitions share a weight, so degrees come back out of order.
+        classic_games(
+            st.lists(st.one_of(st.integers(1, 3), st.integers(10, 60)), min_size=1, max_size=10)
+        ),
+    )
+)
+# The product's degrees come back as 0, 19, 20, 39, 1, ...: weight 1 after 20.
+@example((41, [1, 20, 19]))
+def test_classic_banzhaf_is_coalition_enumeration(game):
+    quota, weights = game
+    assert classic_banzhaf(quota, weights) == classic_banzhaf_enum(quota, weights)
 
 
 # Small and wide magnitudes of both signs: slot widths from one byte up.
@@ -171,3 +205,63 @@ def test_powers_do_not_depend_on_player_order(game, rnd):
         other = generalized_banzhaf(reordered, strict)
         assert other.influences == report.influences
         assert other.powers == report.powers
+
+
+@deterministic
+@given(pmf_games())
+def test_powers_sum_to_one(game):
+    for strict in (False, True):
+        try:
+            report = generalized_banzhaf(game, strict)
+        except DegenerateGameError:
+            continue
+        assert sum(report.powers.values()) == 1
+
+
+@deterministic
+@given(pmf_games().filter(lambda g: g.quota > max(p.structure.max_votes for p in g.players)))
+def test_strict_influence_is_default_influence_below_the_quota(game):
+    # No player can reach the quota alone, so dropping the vote counts at or
+    # above it changes nothing.
+    assert influences_or_none(game, strict=True) == influences_or_none(game)
+
+
+probabilities = st.fractions(0, 1, max_denominator=12)
+votes = st.integers(1, 9)
+# Each structure kind's fields, drawn with the types load_game gives back.
+spec_fields = {
+    "random": {"votes": votes},
+    "deterministic": {"votes": votes},
+    "bernoulli": {"votes": votes, "p": probabilities},
+    "pmf": {"entries": small_entries},
+    "team": {
+        "weights": st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+        "p": probabilities,
+        "L": probabilities,
+    },
+    "uniform_team": {"n": st.integers(1, 4), "p": probabilities, "L": probabilities},
+}
+specs = st.one_of(
+    [st.builds(StructureSpec, st.just(kind), **fields) for kind, fields in spec_fields.items()]
+)
+
+
+@st.composite
+def spec_games(draw):
+    players = tuple(
+        Player.from_spec(f"P{i}", spec)
+        for i, spec in enumerate(draw(st.lists(specs, min_size=1, max_size=4)))
+    )
+    return Game(draw(st.integers(1, 40)), players)
+
+
+def test_round_trip_draws_every_kind():
+    assert set(spec_fields) == set(KINDS)
+
+
+@deterministic
+@given(spec_games())
+def test_game_document_round_trip(game):
+    doc = game.to_doc()
+    assert load_game(doc) == game
+    assert load_game(json.loads(json.dumps(doc))) == game
