@@ -1,11 +1,14 @@
 """Voting structures and the weighted game container.
 
 A voting structure is an exact probability distribution over how many votes
-a player casts for a motion.  The constructors here cover the standard
-cases: fifty-fifty all-or-nothing voting, deterministic voting, all-or-
-nothing with an arbitrary probability, a free-form distribution, and
-leader-led teams whose members follow the leader's wish independently with
-some probability.
+a player casts for a motion, held as integer numerators over one common
+denominator.  The constructors here cover the standard cases: fifty-fifty
+all-or-nothing voting, deterministic voting, all-or-nothing with an
+arbitrary probability, a free-form distribution, and leader-led teams whose
+members follow the leader's wish independently with some probability.
+No constructor does ``Fraction`` arithmetic: teams are built from
+binomial numerators on the integer product engine, and a ``RationalPoly``
+view is formed only when something reads ``pmf``.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
@@ -15,14 +18,14 @@ would round.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import FrozenInstanceError, dataclass, replace
 from fractions import Fraction
-from functools import reduce
-from operator import mul
-from typing import Iterable, Sequence, Union
+from functools import cached_property
+from math import comb, gcd
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GameValidationError, InputError
-from .poly import RationalPoly
+from .poly import RationalPoly, int_product
 
 ProbabilityLike = Union[Fraction, int, str]
 
@@ -48,48 +51,99 @@ def _check_weight(votes: int, where: str = "votes") -> None:
         raise GameValidationError(f"{where} must be a positive integer, got {votes!r}")
 
 
-@dataclass(frozen=True)
 class VoteDistribution:
     """A normalized distribution over the number of votes cast.
 
-    The coefficient of x^j in ``pmf`` is the probability of casting exactly
-    j votes.  Construction checks exact normalization: coefficients must be
-    non-negative and sum to one.
+    ``numerators`` maps each vote count j with nonzero probability to the
+    integer numerator of P(j) over ``den``; readers share it, so nothing may
+    modify it.  One gcd pass reduces the pair, so ``den`` is the least
+    common denominator of the probabilities and the pair is canonical:
+    distributions built different ways compare and hash equal when their
+    probabilities are equal.  Construction checks exact normalization in
+    integers: numerators must be non-negative and sum to ``den``.
+
+    ``pmf`` is the same distribution as a polynomial, built on first read:
+    the coefficient of x^j is the probability of casting exactly j votes.
+    ``VoteDistribution(pmf)`` builds a distribution from such a polynomial,
+    over the least common denominator of its coefficients; ``from_integers``
+    builds one from numerators over any denominator.
     """
 
-    pmf: RationalPoly
+    den: int
+    numerators: Mapping[int, int]
 
-    def __post_init__(self) -> None:
-        for degree, coeff in self.pmf.items():
-            if coeff < 0:
-                raise GameValidationError(
-                    f"negative probability {coeff} for {degree} votes"
-                )
-        total = self.pmf(1)
-        if total != 1:
-            raise GameValidationError(f"probabilities sum to {total}, not 1")
+    def __init__(self, pmf: RationalPoly) -> None:
+        den, numerators = pmf.scaled()
+        self._store(numerators, den)
+
+    @classmethod
+    def from_integers(cls, numerators: Mapping[int, int], den: int) -> VoteDistribution:
+        """The distribution with P(j) = numerators[j] / den; zero entries are
+        dropped."""
+        dist = cls.__new__(cls)
+        dist._store(numerators, den)
+        return dist
+
+    def _store(self, numerators: Mapping[int, int], den: int) -> None:
+        terms = {d: c for d, c in numerators.items() if c}
+        negative = [d for d, c in terms.items() if c < 0]
+        if negative:
+            lowest = min(negative)
+            raise GameValidationError(
+                f"negative probability {Fraction(terms[lowest], den)} for {lowest} votes"
+            )
+        total = sum(terms.values())
+        if total != den:
+            raise GameValidationError(f"probabilities sum to {Fraction(total, den)}, not 1")
+        common = gcd(den, *terms.values())
+        if common > 1:
+            terms = {d: c // common for d, c in terms.items()}
+        object.__setattr__(self, "den", den // common)
+        object.__setattr__(self, "numerators", terms)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VoteDistribution):
+            return self.den == other.den and self.numerators == other.numerators
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.den, frozenset(self.numerators.items())))
+
+    def __repr__(self) -> str:
+        return f"VoteDistribution({self.pmf!r})"
+
+    @cached_property
+    def pmf(self) -> RationalPoly:
+        return RationalPoly.from_integers(self.numerators, self.den)
 
     @property
     def max_votes(self) -> int:
-        return self.pmf.degree
+        return max(self.numerators)
 
     def support(self) -> tuple[int, ...]:
         """Vote counts with nonzero probability, ascending."""
-        return self.pmf.support()
+        return tuple(sorted(self.numerators))
 
     def prob_exactly(self, votes: int) -> Fraction:
         return self.pmf.coeff(votes)
 
     def prob_at_least(self, votes: int) -> Fraction:
         """Probability of casting at least ``votes`` votes."""
-        return sum((c for d, c in self.pmf.items() if d >= votes), Fraction(0))
+        return Fraction(sum(c for d, c in self.numerators.items() if d >= votes), self.den)
 
 
 def bernoulli_structure(votes: int, p: ProbabilityLike) -> VoteDistribution:
     """Casts all ``votes`` votes with probability p, none otherwise."""
     _check_weight(votes)
     p = as_probability(p, "p")
-    return VoteDistribution(RationalPoly({0: 1 - p, votes: p}))
+    a, b = p.numerator, p.denominator
+    return VoteDistribution.from_integers({0: b - a, votes: a}, b)
 
 
 def random_structure(votes: int) -> VoteDistribution:
@@ -116,6 +170,13 @@ def pmf_structure(entries: Iterable[tuple[int, ProbabilityLike]]) -> VoteDistrib
     return VoteDistribution(RationalPoly(coeffs))
 
 
+def _members(weight: int, k: int, cast: int, abstain: int) -> dict[int, int]:
+    """k independent members of one weight, each casting with probability
+    cast / (cast + abstain): numerators over (cast + abstain)^k."""
+    terms = {j * weight: comb(k, j) * cast**j * abstain ** (k - j) for j in range(k + 1)}
+    return {d: c for d, c in terms.items() if c}
+
+
 def team_structure(
     weights: Sequence[int], p: ProbabilityLike, L: ProbabilityLike
 ) -> VoteDistribution:
@@ -124,6 +185,11 @@ def team_structure(
     The leader wants every member to cast their votes with probability L.
     Each member independently follows the leader's wish with probability p,
     and does the exact opposite otherwise.
+
+    With p = a/b, members of equal weight form one binomial factor, and the
+    factors multiply on the integer engine, so the team's numerators over
+    b^K (K members) come without any ``Fraction`` arithmetic.  With L = c/e
+    the team is c * follow + (e - c) * defy over e * b^K.
     """
     weights = tuple(weights)
     if not weights:
@@ -132,12 +198,23 @@ def team_structure(
         _check_weight(w, "member weight")
     p = as_probability(p, "p")
     L = as_probability(L, "L")
-    # Members of equal weight share one factor raised to their count, so a
-    # large team costs a few squarings rather than one product per member.
+    a, b = p.numerator, p.denominator
+    c, e = L.numerator, L.denominator
     groups = Counter(weights).items()
-    follow = reduce(mul, (RationalPoly({0: 1 - p, w: p}) ** k for w, k in groups))
-    defy = reduce(mul, (RationalPoly({0: p, w: 1 - p}) ** k for w, k in groups))
-    return VoteDistribution(L * follow + (1 - L) * defy)
+    top = sum(weights)
+
+    def product(cast: int, abstain: int) -> dict[int, int]:
+        factors = [_members(w, k, cast, abstain) for w, k in groups]
+        acc = factors[0]
+        for factor in factors[1:]:
+            acc = int_product(acc, factor, top)
+        return acc
+
+    follow, defy = product(a, b - a), product(b - a, a)
+    mixed = {
+        d: c * follow.get(d, 0) + (e - c) * defy.get(d, 0) for d in follow.keys() | defy.keys()
+    }
+    return VoteDistribution.from_integers(mixed, e * b ** len(weights))
 
 
 def uniform_team_structure(
@@ -237,8 +314,8 @@ class Game:
             )
         if not self.players:
             raise GameValidationError("a game needs at least one player")
-        names = [p.name for p in self.players]
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        counts = Counter(p.name for p in self.players)
+        dupes = sorted(n for n, k in counts.items() if k > 1)
         if dupes:
             raise GameValidationError(f"duplicate player names: {dupes}")
 

@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import CapacityError, InputError
 from .model import Game, VoteDistribution
 from .poly import RationalPoly
-from .power import ENUMERATION_CAP, BanzhafReport, influence_polynomial
+from .power import ENUMERATION_CAP, BanzhafReport
 
 ENUM_TUPLE_CAP = 10**6
 
@@ -73,6 +73,12 @@ def classic_banzhaf_enum(quota: int, weights: Sequence[int]) -> BanzhafReport:
     return BanzhafReport.from_counts(counts)
 
 
+def _undecided_at(dist: VoteDistribution, needed: int) -> Fraction:
+    """min(v, 1 - v), with v the probability of casting at least ``needed`` votes."""
+    v = dist.prob_at_least(needed)
+    return min(v, 1 - v)
+
+
 def influence_first_principles(game: Game, who: str) -> Fraction:
     """Influence recomputed from its definition, avoiding the fast path.
 
@@ -86,8 +92,7 @@ def influence_first_principles(game: Game, who: str) -> Fraction:
     totals = joint_distribution_enum(others)
     result = Fraction(0)
     for z, p_z in totals.extract(0, game.quota - 1).items():
-        v = focal.structure.prob_at_least(game.quota - z)
-        result += p_z * min(v, 1 - v)
+        result += p_z * _undecided_at(focal.structure, game.quota - z)
     return result
 
 
@@ -107,13 +112,14 @@ def monte_carlo_influence(game: Game, who: str, trials: int, seed: int) -> McEst
     Each trial draws every other player's vote count by inverse CDF from
     Mersenne Twister uniforms (``random.Random(seed)``, so results are
     bit-reproducible across platforms), then scores the exact undecided
-    fraction for the sampled total.  Scoring the exact per-total value
-    instead of also simulating the focal player keeps the variance down.
+    fraction for the sampled total z: min(v, 1 - v), with v the probability
+    the player casts at least quota - z votes.  Scoring the exact per-total
+    value instead of also simulating the focal player keeps the variance
+    down.
     """
     if not isinstance(trials, int) or trials < 1:
         raise InputError(f"trials must be a positive integer, got {trials!r}")
     focal = game.player(who)
-    gamma = influence_polynomial(focal.structure, game.quota)
 
     # Cumulative sampling thresholds are float-rounded; the sampled values
     # and the per-sample influence weights stay exact.
@@ -136,8 +142,10 @@ def monte_carlo_influence(game: Game, who: str, trials: int, seed: int) -> McEst
             z += support[idx]
         hits[z] = hits.get(z, 0) + 1
 
-    s1 = sum((gamma.coeff(z) * count for z, count in hits.items()), Fraction(0))
-    s2 = sum((gamma.coeff(z) ** 2 * count for z, count in hits.items()), Fraction(0))
+    # A total at or above the quota needs no votes from the player: v = 1, so it scores 0.
+    gamma = {z: _undecided_at(focal.structure, game.quota - z) for z in hits}
+    s1 = sum((gamma[z] * count for z, count in hits.items()), Fraction(0))
+    s2 = sum((gamma[z] ** 2 * count for z, count in hits.items()), Fraction(0))
     mean = s1 / trials
     if trials > 1:
         variance = (s2 - s1 * s1 / trials) / (trials - 1)

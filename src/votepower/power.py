@@ -9,9 +9,9 @@ back out to count the coalitions of the others.  The generalized route
 arbitrary voting structures and reduces exactly to the classic index when
 every player votes all-or-nothing with probability one half.
 
-The route works on integers: each vote distribution is scaled once to
-integer numerators over its own denominator, products of distributions go
-through ``poly.int_product`` cut below the quota, and the undecided
+The route works on integers: it reads each vote distribution's integer
+numerators over its own denominator as stored, products of distributions
+go through ``poly.int_product`` cut below the quota, and the undecided
 fractions min(v_Z, 1 - v_Z) come from one integer running sum over the
 window of thresholds the player can still tip.  Fractions are formed only
 at the end.
@@ -106,13 +106,14 @@ def classic_banzhaf(
     return BanzhafReport.from_counts(counts)
 
 
-def _undecided(den: int, pmf: dict[int, int], quota: int, strict: bool) -> dict[int, int]:
-    """den * min(v_Z, 1 - v_Z) at each Z where it is nonzero, for a vote
-    distribution given as integer numerators over ``den``.
+def _undecided(dist: VoteDistribution, quota: int, strict: bool) -> dict[int, int]:
+    """dist.den * min(v_Z, 1 - v_Z) at each Z where it is nonzero.
 
-    v_Z is one running sum: 0 below Z = quota - max_votes, starting from the
-    mass above the quota and growing by P(quota - Z) per step.
+    v_Z is one running sum over the distribution's numerators: 0 below
+    Z = quota - max_votes, starting from the mass above the quota and
+    growing by P(quota - Z) per step.
     """
+    den, pmf = dist.den, dist.numerators
     if strict:
         pmf = {d: c for d, c in pmf.items() if d < quota}
     v = sum(c for d, c in pmf.items() if d > quota)
@@ -133,11 +134,11 @@ def losing_tail(game: Game, excluded: str) -> RationalPoly:
     coalitions the excluded player could still tip.
     """
     game.player(excluded)  # raises InputError for unknown names
-    scaled = [p.structure.pmf.scaled() for p in game.players if p.name != excluded]
+    others = [p.structure for p in game.players if p.name != excluded]
     tail = reduce(
-        lambda acc, pmf: int_product(acc, pmf, game.quota - 1), (pmf for _, pmf in scaled), {0: 1}
+        lambda acc, dist: int_product(acc, dist.numerators, game.quota - 1), others, {0: 1}
     )
-    return RationalPoly.from_integers(tail, prod(den for den, _ in scaled))
+    return RationalPoly.from_integers(tail, prod(dist.den for dist in others))
 
 
 def influence_polynomial(
@@ -159,8 +160,7 @@ def influence_polynomial(
     """
     if not isinstance(quota, int) or quota < 1:
         raise InputError(f"quota must be a positive integer, got {quota!r}")
-    den, pmf = dist.pmf.scaled()
-    return RationalPoly.from_integers(_undecided(den, pmf, quota, strict), den)
+    return RationalPoly.from_integers(_undecided(dist, quota, strict), dist.den)
 
 
 def influence(game: Game, who: str, strict: bool = False) -> Fraction:
@@ -183,27 +183,27 @@ class PowerReport:
 def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:
     """Influence of every player, normalized to a power vector summing to 1.
 
-    Every pmf is scaled once to integers over its own denominator.  Player
+    Every distribution is read as integers over its own denominator.  Player
     i's losing tail is the product of the prefix of players before i and
     the suffix after i, both truncated below the quota, so the n tails cost
     about 3n products.  Each influence is one integer dot product over the
     player's window, divided by the product of all the denominators.
     """
     quota = game.quota
-    scaled = [p.structure.pmf.scaled() for p in game.players]
+    dists = [p.structure for p in game.players]
     # prefix[i] is the product over the players before i, suffix[i] over those after i.
     prefix = [{0: 1}]
-    for _, pmf in scaled[:-1]:
-        prefix.append(int_product(prefix[-1], pmf, quota - 1))
+    for dist in dists[:-1]:
+        prefix.append(int_product(prefix[-1], dist.numerators, quota - 1))
     suffix = [{0: 1}]
-    for _, pmf in reversed(scaled[1:]):
-        suffix.append(int_product(suffix[-1], pmf, quota - 1))
+    for dist in reversed(dists[1:]):
+        suffix.append(int_product(suffix[-1], dist.numerators, quota - 1))
     suffix.reverse()
-    den = prod(d for d, _ in scaled)
+    den = prod(dist.den for dist in dists)
     influences = {}
-    for player, (den_i, pmf), before, after in zip(game.players, scaled, prefix, suffix):
+    for player, before, after in zip(game.players, prefix, suffix):
         tail = int_product(before, after, quota - 1)
-        window = _undecided(den_i, pmf, quota, strict)
+        window = _undecided(player.structure, quota, strict)
         dot = sum(gamma * tail.get(z, 0) for z, gamma in window.items())
         influences[player.name] = Fraction(dot, den)
     total = sum(influences.values(), Fraction(0))

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from votepower.model import (
     Game,
     Player,
     StructureSpec,
+    VoteDistribution,
     as_probability,
     bernoulli_structure,
     deterministic_structure,
@@ -205,6 +208,53 @@ class TestUniformTeamStructure:
                     expected = (L * ways * p**j * (1 - p) ** (n - j)
                                 + (1 - L) * ways * (1 - p) ** j * p ** (n - j))
                     assert dist.prob_exactly(j) == expected, (p, L, j)
+
+
+class TestVoteDistribution:
+    def test_negative_probability_text(self):
+        with pytest.raises(GameValidationError) as info:
+            VoteDistribution(RationalPoly({0: F(2), 3: F(-1, 2), 5: F(-1, 2)}))
+        assert str(info.value) == "negative probability -1/2 for 3 votes"
+
+    def test_bad_sum_text(self):
+        with pytest.raises(GameValidationError) as info:
+            VoteDistribution(RationalPoly({0: HALF, 2: F(1, 4)}))
+        assert str(info.value) == "probabilities sum to 3/4, not 1"
+
+    def test_stored_over_the_least_common_denominator(self):
+        dist = pmf_structure([(0, F(1, 6)), (1, HALF), (3, F(1, 3))])
+        assert dist.den == 6
+        assert dict(dist.numerators) == {0: 1, 1: 3, 3: 2}
+        assert dist.pmf.scaled() == (6, {0: 1, 1: 3, 3: 2})
+
+    def test_integers_are_reduced(self):
+        dist = VoteDistribution.from_integers({0: 2, 4: 2, 7: 0}, 4)
+        assert (dist.den, dict(dist.numerators)) == (2, {0: 1, 4: 1})
+        assert dist == random_structure(4)
+
+    def test_equal_however_built(self):
+        built = [
+            random_structure(4),
+            bernoulli_structure(4, "1/2"),
+            pmf_structure([(4, "0.5"), (0, "1/2")]),
+            team_structure((4,), 1, HALF),
+            VoteDistribution(RationalPoly({0: HALF, 4: HALF})),
+        ]
+        assert all(dist == built[0] for dist in built)
+        assert len({hash(dist) for dist in built}) == 1
+        assert uniform_team_structure(3, HALF, F(1, 5)) != random_structure(3)
+        assert random_structure(3) != random_structure(4)
+
+    def test_frozen(self):
+        dist = random_structure(2)
+        with pytest.raises(FrozenInstanceError):
+            dist.den = 4
+        assert dist.den == 2
+
+    def test_pmf_round_trip(self):
+        dist = team_structure((3, 1, 1), F(2, 3), F(1, 4))
+        assert VoteDistribution(dist.pmf) == dist
+        assert repr(random_structure(1)) == "VoteDistribution(RationalPoly({0: 1/2, 1: 1/2}))"
 
 
 class TestRandomDistributions:
@@ -410,6 +460,22 @@ class TestGame:
     def test_needs_at_least_one_player(self):
         with pytest.raises(GameValidationError):
             Game(3, ())
+
+    def test_duplicate_names_text(self):
+        spec = StructureSpec(kind="random", votes=1)
+        players = tuple(Player.from_spec(name, spec) for name in "BACBAB")
+        with pytest.raises(GameValidationError) as info:
+            Game(3, players)
+        assert str(info.value) == "duplicate player names: ['A', 'B']"
+
+    def test_ten_thousand_players_build_fast(self):
+        spec = StructureSpec(kind="random", votes=1)
+        dist = spec.build()
+        players = tuple(Player(f"P{i}", spec, dist) for i in range(10_000))
+        start = time.perf_counter()
+        game = Game(5_001, players)
+        assert time.perf_counter() - start < 1.0
+        assert len(game.players) == 10_000
 
 
 KIND_PARAMETERS = {

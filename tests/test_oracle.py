@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+import votepower
 from conftest import random_distribution
+from votepower import oracle, power
 from votepower.errors import CapacityError, InputError
 from votepower.model import (
     Game,
@@ -157,6 +159,17 @@ class TestMonteCarloInfluence:
         assert first == second
         other_seed = monte_carlo_influence(game, "B", trials=5000, seed=43)
         assert other_seed.mean != first.mean
+
+    def test_does_not_use_the_influence_polynomial(self, monkeypatch):
+        game = preset_game("senate-113")
+        expected = monte_carlo_influence(game, "Rep", trials=2000, seed=11)
+
+        def fast_path(*args, **kwargs):
+            raise AssertionError("the sampler called influence_polynomial")
+
+        for module in (votepower, power, oracle):
+            monkeypatch.setattr(module, "influence_polynomial", fast_path, raising=False)
+        assert monte_carlo_influence(game, "Rep", trials=2000, seed=11) == expected
 
     def test_invalid_trials(self):
         game = preset_game("paper-6-4321-random")

@@ -1,8 +1,9 @@
 """Property tests: the influence polynomial against its definition, the
 generalized index against classic Banzhaf counts under random voting and
 against first-principles influence, classic Banzhaf against coalition
-enumeration, the integer product engine against enumerated products, and
-game documents against their round trip.
+enumeration, the integer product engine against enumerated products, the
+structure builders against the Fraction route, and game documents against
+their round trip.
 
 Examples are derandomized, so every run checks the same games.
 """
@@ -14,7 +15,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import enum_product
 from votepower.errors import DegenerateGameError
-from votepower.model import KINDS, Game, Player, StructureSpec, load_game, pmf_structure
+from votepower.model import (
+    KINDS,
+    Game,
+    Player,
+    StructureSpec,
+    VoteDistribution,
+    bernoulli_structure,
+    load_game,
+    pmf_structure,
+    team_structure,
+    uniform_team_structure,
+)
 from votepower.oracle import (
     classic_banzhaf_enum,
     influence_first_principles,
@@ -265,3 +277,62 @@ def test_game_document_round_trip(game):
     doc = game.to_doc()
     assert load_game(doc) == game
     assert load_game(json.loads(json.dumps(doc))) == game
+
+
+# Probabilities 0, 1 and k/P, so certain and impossible members show up often.
+edge_probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 12).flatmap(lambda P: st.integers(0, P).map(lambda k: Fraction(k, P))),
+)
+# Few distinct weights repeated, or distinct weights spread out.
+member_weights = st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=8),
+    st.lists(st.integers(1, 40), min_size=1, max_size=6, unique=True),
+)
+
+
+def assert_built_as(dist, pmf):
+    """``dist`` is the distribution ``pmf``, stored canonically."""
+    assert dist.pmf == pmf
+    assert (dist.den, dict(dist.numerators)) == pmf.scaled()
+    twin = VoteDistribution(pmf)
+    assert twin == dist and hash(twin) == hash(dist)
+
+
+def member(w, cast):
+    return RationalPoly({0: 1 - cast, w: cast})
+
+
+@deterministic
+@given(member_weights, edge_probabilities, edge_probabilities)
+def test_team_builder_is_the_fraction_route(weights, p, L):
+    follow = enum_product([member(w, p) for w in weights])
+    defy = enum_product([member(w, 1 - p) for w in weights])
+    assert_built_as(team_structure(weights, p, L), L * follow + (1 - L) * defy)
+
+
+@deterministic
+@given(st.integers(1, 9), edge_probabilities, edge_probabilities)
+def test_uniform_team_builder_is_the_fraction_route(n, p, L):
+    follow = enum_product([member(1, p)] * n)
+    defy = enum_product([member(1, 1 - p)] * n)
+    assert_built_as(uniform_team_structure(n, p, L), L * follow + (1 - L) * defy)
+
+
+@deterministic
+@given(st.integers(1, 50), edge_probabilities)
+def test_bernoulli_builder_is_the_fraction_route(votes, p):
+    assert_built_as(bernoulli_structure(votes, p), member(votes, p))
+
+
+@deterministic
+@given(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 9)), min_size=1, max_size=6,
+             unique_by=lambda entry: entry[0])
+    .filter(lambda entries: any(w for _, w in entries))
+)
+def test_pmf_builder_is_the_fraction_route(weighted):
+    # Zero weights give zero-probability entries, a lone entry probability one.
+    total = sum(w for _, w in weighted)
+    entries = [(votes, Fraction(w, total)) for votes, w in weighted]
+    assert_built_as(pmf_structure(entries), RationalPoly(dict(entries)))
