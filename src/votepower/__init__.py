@@ -1,9 +1,10 @@
 """Exact voting-power computations for probabilistic and team voting.
 
-Computes classic Banzhaf power by coalition enumeration and a generalized
-index for players with arbitrary voting structures (probabilistic, partial,
-or leader-led team voting), using exact rational generating-function
-arithmetic throughout.
+Computes classic Banzhaf power from the coalition-counting polynomial and a
+generalized index for players with arbitrary voting structures
+(probabilistic, partial, or leader-led team voting), using exact
+generating-function arithmetic, integer numerators over one denominator,
+throughout.
 """
 
 from .errors import (

@@ -27,7 +27,6 @@ from .power import (
     generalized_banzhaf,
     influence,
     influence_polynomial,
-    losing_tail,
 )
 from .presets import COHESION_ASSIGNMENTS, DEFAULT_COHESION, PRESETS, preset_doc
 from .sweep import ParamRef, SweepAxis, grid_values, sensitivity, structure_series, sweep
@@ -117,7 +116,7 @@ def cmd_influence_poly(args) -> int:
     payload = {
         "player": player.name,
         "quota": game.quota,
-        "influence": str(ipoly.dot(losing_tail(game, player.name))),
+        "influence": str(influence(game, player.name, strict=args.strict_influence)),
         "terms": [
             {
                 "degree": degree,

@@ -7,8 +7,9 @@ all-or-nothing voting, deterministic voting, all-or-nothing with an
 arbitrary probability, a free-form distribution, and leader-led teams whose
 members follow the leader's wish independently with some probability.
 No constructor does ``Fraction`` arithmetic: teams are built from
-binomial numerators on the integer product engine, and a ``RationalPoly``
-view is formed only when something reads ``pmf``.
+binomial numerators on the integer product engine, and every distribution
+wraps one ``RationalPoly``, whose integers the power engines read as
+stored.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
@@ -18,10 +19,9 @@ would round.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
-from math import comb, gcd
+from math import comb
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GameValidationError, InputError
@@ -51,41 +51,23 @@ def _check_weight(votes: int, where: str = "votes") -> None:
         raise GameValidationError(f"{where} must be a positive integer, got {votes!r}")
 
 
+@dataclass(frozen=True, repr=False)
 class VoteDistribution:
     """A normalized distribution over the number of votes cast.
 
-    ``numerators`` maps each vote count j with nonzero probability to the
-    integer numerator of P(j) over ``den``; readers share it, so nothing may
-    modify it.  One gcd pass reduces the pair, so ``den`` is the least
-    common denominator of the probabilities and the pair is canonical:
-    distributions built different ways compare and hash equal when their
-    probabilities are equal.  Construction checks exact normalization in
-    integers: numerators must be non-negative and sum to ``den``.
-
-    ``pmf`` is the same distribution as a polynomial, built on first read:
-    the coefficient of x^j is the probability of casting exactly j votes.
-    ``VoteDistribution(pmf)`` builds a distribution from such a polynomial,
-    over the least common denominator of its coefficients; ``from_integers``
-    builds one from numerators over any denominator.
+    ``pmf`` is the distribution as a polynomial: the coefficient of x^j is
+    the probability of casting exactly j votes.  ``den`` and ``numerators``
+    read its canonical integers, so distributions built different ways
+    compare and hash equal when their probabilities are equal.  Construction
+    checks exact normalization in integers: numerators must be non-negative
+    and sum to ``den``.  ``from_integers`` builds a distribution from
+    numerators over any denominator.
     """
 
-    den: int
-    numerators: Mapping[int, int]
+    pmf: RationalPoly
 
-    def __init__(self, pmf: RationalPoly) -> None:
-        den, numerators = pmf.scaled()
-        self._store(numerators, den)
-
-    @classmethod
-    def from_integers(cls, numerators: Mapping[int, int], den: int) -> VoteDistribution:
-        """The distribution with P(j) = numerators[j] / den; zero entries are
-        dropped."""
-        dist = cls.__new__(cls)
-        dist._store(numerators, den)
-        return dist
-
-    def _store(self, numerators: Mapping[int, int], den: int) -> None:
-        terms = {d: c for d, c in numerators.items() if c}
+    def __post_init__(self) -> None:
+        den, terms = self.pmf.den, self.pmf.numerators
         negative = [d for d, c in terms.items() if c < 0]
         if negative:
             lowest = min(negative)
@@ -95,32 +77,26 @@ class VoteDistribution:
         total = sum(terms.values())
         if total != den:
             raise GameValidationError(f"probabilities sum to {Fraction(total, den)}, not 1")
-        common = gcd(den, *terms.values())
-        if common > 1:
-            terms = {d: c // common for d, c in terms.items()}
-        object.__setattr__(self, "den", den // common)
-        object.__setattr__(self, "numerators", terms)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, VoteDistribution):
-            return self.den == other.den and self.numerators == other.numerators
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.den, frozenset(self.numerators.items())))
+    @classmethod
+    def from_integers(cls, numerators: Mapping[int, int], den: int) -> VoteDistribution:
+        """The distribution with P(j) = numerators[j] / den; zero entries are
+        dropped."""
+        return cls(RationalPoly.from_integers(numerators, den))
 
     def __repr__(self) -> str:
         return f"VoteDistribution({self.pmf!r})"
 
-    @cached_property
-    def pmf(self) -> RationalPoly:
-        return RationalPoly.from_integers(self.numerators, self.den)
+    @property
+    def den(self) -> int:
+        """The least common denominator of the probabilities."""
+        return self.pmf.den
+
+    @property
+    def numerators(self) -> Mapping[int, int]:
+        """Vote count -> integer numerator of its probability over ``den``;
+        shared with the polynomial, so nothing may modify it."""
+        return self.pmf.numerators
 
     @property
     def max_votes(self) -> int:
@@ -337,14 +313,21 @@ class Game:
                 return p
         raise InputError(f"unknown player {name!r}")
 
+    def with_parameters(self, changes: Mapping[tuple[str, str], ProbabilityLike]) -> Game:
+        """A copy of the game with players' p or L replaced, keyed by
+        (player name, field); each changed player is rebuilt once."""
+        specs: dict[str, StructureSpec] = {}
+        for (name, field), value in changes.items():
+            specs[name] = specs.get(name, self.player(name).spec).with_parameter(field, value)
+        players = tuple(
+            Player.from_spec(p.name, specs[p.name]) if p.name in specs else p
+            for p in self.players
+        )
+        return Game(self.quota, players)
+
     def with_parameter(self, name: str, field: str, value: ProbabilityLike) -> Game:
         """A copy of the game with one player's p or L replaced."""
-        target = self.player(name)
-        rebuilt = Player.from_spec(name, target.spec.with_parameter(field, value))
-        return Game(
-            self.quota,
-            tuple(rebuilt if p.name == name else p for p in self.players),
-        )
+        return self.with_parameters({(name, field): value})
 
     def to_doc(self) -> dict:
         """Serialize back to the JSON document schema."""

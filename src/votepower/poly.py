@@ -1,8 +1,9 @@
 """Exact polynomial arithmetic over the rationals.
 
-A polynomial in one variable is stored sparsely as a map from degree to a
-nonzero ``fractions.Fraction`` coefficient.  Two interpretations share this
-carrier:
+A polynomial in one variable is stored sparsely as integer numerators over
+one common denominator: a map from degree to a nonzero integer, and the
+least common denominator of the coefficients.  Two interpretations share
+this carrier:
 
 * probability generating functions over vote counts, where the coefficient
   of x^j is the probability of casting exactly j votes, and
@@ -10,26 +11,23 @@ carrier:
   a player still is against a coalition that already holds Z votes.
 
 Every operation is exact; nothing in this module touches floating point, so
-polynomial identities can be asserted with ``==``.
+polynomial identities can be asserted with ``==``.  ``Fraction``
+coefficients are formed only when a caller reads them.
 
-Products go through one integer engine, ``int_product``: each factor is
-scaled to integer numerators over its least common denominator
-(``RationalPoly.scaled``), the numerators are convolved, and the result is
-divided once by the product of the denominators
-(``RationalPoly.from_integers``).  The engine cuts the product at a given
-degree, so callers that only need the low coefficients, such as the losing
-tails below a quota, never build the rest.
+Products go through one integer engine, ``int_product``: the numerators are
+convolved and the result is put over the product of the denominators.  The
+engine cuts the product at a given degree, so callers that only need the
+low coefficients, such as the losing tails below a quota, never build the
+rest.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
 Coefficient = Union[Fraction, int, str]
-
-_ZERO = Fraction(0)
 
 
 def int_product(a: Mapping[int, int], b: Mapping[int, int], top: int) -> dict[int, int]:
@@ -110,12 +108,14 @@ def _exact(value: Coefficient) -> Fraction:
 class RationalPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
-    Zero coefficients are never stored; the zero polynomial is the empty
-    map.  Instances are value objects: hashable, comparable coefficient by
-    coefficient, and safe to share between threads.
+    The coefficient of x^d is ``numerators[d] / den``.  Only nonzero
+    numerators are stored, and no factor divides ``den`` and all of them, so
+    the pair is canonical; the zero polynomial is (1, {}).  Readers share
+    both, so nothing may modify them.  Instances are value objects: hashable,
+    comparable coefficient by coefficient, and safe to share between threads.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("den", "numerators")
 
     def __init__(self, coeffs: Mapping[int, Coefficient] | None = None) -> None:
         cleaned: dict[int, Fraction] = {}
@@ -128,25 +128,47 @@ class RationalPoly:
                 value = _exact(raw)
                 if value:
                     cleaned[degree] = value
-        self._coeffs = cleaned
+        # Reduced fractions over their least common denominator are canonical.
+        self.den = lcm(*(c.denominator for c in cleaned.values()))
+        self.numerators = {
+            d: c.numerator * (self.den // c.denominator) for d, c in cleaned.items()
+        }
+
+    @classmethod
+    def from_integers(cls, numerators: Mapping[int, int], den: int) -> RationalPoly:
+        """The polynomial with coefficient numerators[d] / den at each degree d,
+        for a positive ``den``; the inverse of ``scaled``.  Zero entries are
+        dropped and one gcd pass reduces the pair to its canonical form."""
+        if not isinstance(den, int) or den < 1:
+            raise ValueError(f"the denominator must be a positive integer, got {den!r}")
+        common = gcd(den, *numerators.values())
+        poly = cls.__new__(cls)
+        poly.den = den // common
+        poly.numerators = {d: c // common for d, c in numerators.items() if c}
+        return poly
+
+    def scaled(self) -> tuple[int, dict[int, int]]:
+        """The least common denominator of the coefficients, and the integer
+        numerators over it, keyed by degree (shared, not to be modified)."""
+        return self.den, self.numerators
 
     def coeff(self, degree: int) -> Fraction:
         """Coefficient of x^degree; zero if the term is absent."""
-        return self._coeffs.get(degree, _ZERO)
+        return Fraction(self.numerators.get(degree, 0), self.den)
 
     @property
     def degree(self) -> int:
         """Largest stored degree (0 for the zero polynomial)."""
-        return max(self._coeffs) if self._coeffs else 0
+        return max(self.numerators, default=0)
 
     def items(self) -> Iterator[tuple[int, Fraction]]:
         """Yield (degree, coefficient) pairs in increasing degree order."""
-        for degree in sorted(self._coeffs):
-            yield degree, self._coeffs[degree]
+        for degree in sorted(self.numerators):
+            yield degree, Fraction(self.numerators[degree], self.den)
 
     def support(self) -> tuple[int, ...]:
         """Degrees that carry a nonzero coefficient, ascending."""
-        return tuple(sorted(self._coeffs))
+        return tuple(sorted(self.numerators))
 
     def extract(self, lo: int, hi: int | None = None) -> RationalPoly:
         """Keep exactly the terms with lo <= degree <= hi.
@@ -157,63 +179,41 @@ class RationalPoly:
             raise ValueError(f"extraction range must start at 0 or above, got {lo}")
         if hi is not None and hi < lo:
             raise ValueError(f"invalid extraction range [{lo}, {hi}]")
-        return RationalPoly(
-            {d: c for d, c in self._coeffs.items() if lo <= d and (hi is None or d <= hi)}
-        )
-
-    def scaled(self) -> tuple[int, dict[int, int]]:
-        """The least common denominator of the coefficients, and the integer
-        numerators over it, keyed by degree."""
-        den = lcm(*(c.denominator for c in self._coeffs.values()))
-        return den, {d: c.numerator * (den // c.denominator) for d, c in self._coeffs.items()}
-
-    @classmethod
-    def from_integers(cls, numerators: Mapping[int, int], den: int) -> RationalPoly:
-        """The polynomial with coefficient numerators[d] / den at each degree d;
-        the inverse of ``scaled``."""
-        poly = cls.__new__(cls)
-        poly._coeffs = {d: Fraction(c, den) for d, c in numerators.items() if c}
-        return poly
+        kept = {
+            d: c for d, c in self.numerators.items() if lo <= d and (hi is None or d <= hi)
+        }
+        return RationalPoly.from_integers(kept, self.den)
 
     def dot(self, other: RationalPoly) -> Fraction:
         """Sum of products of coefficients at common degrees."""
-        a, b = self._coeffs, other._coeffs
+        a, b = self.numerators, other.numerators
         if len(b) < len(a):
             a, b = b, a
-        total = _ZERO
-        for degree, value in a.items():
-            match = b.get(degree)
-            if match is not None:
-                total += value * match
-        return total
+        total = sum(c * b[d] for d, c in a.items() if d in b)
+        return Fraction(total, self.den * other.den)
 
     def __call__(self, point: Coefficient) -> Fraction:
         """Evaluate exactly at ``point``."""
         x = _exact(point)
-        total = _ZERO
-        for degree, value in self._coeffs.items():
-            total += value * x**degree
-        return total
+        return Fraction(sum(c * x**d for d, c in self.numerators.items()), self.den)
 
     def __add__(self, other: RationalPoly) -> RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        merged = dict(self._coeffs)
-        for degree, value in other._coeffs.items():
-            merged[degree] = merged.get(degree, _ZERO) + value
-        return RationalPoly(merged)
+        merged = {d: c * other.den for d, c in self.numerators.items()}
+        for degree, c in other.numerators.items():
+            merged[degree] = merged.get(degree, 0) + c * self.den
+        return RationalPoly.from_integers(merged, self.den * other.den)
 
     def __mul__(self, other: RationalPoly | Coefficient) -> RationalPoly:
         if isinstance(other, RationalPoly):
-            den_a, a = self.scaled()
-            den_b, b = other.scaled()
             top = self.degree + other.degree
-            return RationalPoly.from_integers(int_product(a, b, top), den_a * den_b)
+            product = int_product(self.numerators, other.numerators, top)
+            return RationalPoly.from_integers(product, self.den * other.den)
         if isinstance(other, (int, str, Fraction)):
             scalar = Fraction(other)
-            if not scalar:
-                return ZERO
-            return RationalPoly({d: c * scalar for d, c in self._coeffs.items()})
+            scaled = {d: c * scalar.numerator for d, c in self.numerators.items()}
+            return RationalPoly.from_integers(scaled, self.den * scalar.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -239,22 +239,22 @@ class RationalPoly:
         return result
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RationalPoly):
-            return self._coeffs == other._coeffs
+            return self.den == other.den and self.numerators == other.numerators
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        return hash((self.den, frozenset(self.numerators.items())))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{d}: {c}" for d, c in self.items())
         return f"RationalPoly({{{inner}}})"
 
     def __str__(self) -> str:
-        if not self._coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for degree, value in self.items():

@@ -4,10 +4,11 @@ from generating functions.
 ``classic_banzhaf`` counts marginal players of an all-or-nothing weighted
 game from the counting polynomial prod(1 + x^w_j), whose coefficient of x^z
 is the number of coalitions of weight z, and divides each player's factor
-back out to count the coalitions of the others.  The generalized route
-(``losing_tail``, ``influence_polynomial``, ``generalized_banzhaf``) handles
+back out to count the coalitions of the others.  The generalized index
+(``generalized_banzhaf``, and ``influence`` for one player's entry) handles
 arbitrary voting structures and reduces exactly to the classic index when
-every player votes all-or-nothing with probability one half.
+every player votes all-or-nothing with probability one half;
+``losing_tail`` and ``influence_polynomial`` expose its two factors.
 
 The route works on integers: it reads each vote distribution's integer
 numerators over its own denominator as stored, products of distributions
@@ -164,11 +165,10 @@ def influence_polynomial(
 
 
 def influence(game: Game, who: str, strict: bool = False) -> Fraction:
-    """Expected decisiveness of one player: the influence polynomial dotted
-    with everyone else's losing-tail distribution."""
-    player = game.player(who)
-    ipoly = influence_polynomial(player.structure, game.quota, strict=strict)
-    return ipoly.dot(losing_tail(game, who))
+    """Expected decisiveness of one player, as ``generalized_banzhaf``
+    reports it; defined also where every influence is zero."""
+    game.player(who)  # raises InputError for unknown names
+    return _influences(game, strict)[who]
 
 
 @dataclass(frozen=True)
@@ -180,32 +180,37 @@ class PowerReport:
     proper_game: bool
 
 
-def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:
-    """Influence of every player, normalized to a power vector summing to 1.
-
-    Every distribution is read as integers over its own denominator.  Player
-    i's losing tail is the product of the prefix of players before i and
-    the suffix after i, both truncated below the quota, so the n tails cost
-    about 3n products.  Each influence is one integer dot product over the
-    player's window, divided by the product of all the denominators.
+def _influences(game: Game, strict: bool) -> dict[str, Fraction]:
+    """Every player's influence, each distribution read as integers over
+    its own denominator.  Player i's losing tail is the product of the
+    prefix of players before i and the suffix after i, both truncated below
+    the quota, so the n tails cost about 3n products.  Each influence is one
+    integer dot product over the player's window, divided by the product of
+    all the denominators.
     """
     quota = game.quota
-    dists = [p.structure for p in game.players]
+    pmfs = [p.structure.pmf for p in game.players]
     # prefix[i] is the product over the players before i, suffix[i] over those after i.
     prefix = [{0: 1}]
-    for dist in dists[:-1]:
-        prefix.append(int_product(prefix[-1], dist.numerators, quota - 1))
+    for pmf in pmfs[:-1]:
+        prefix.append(int_product(prefix[-1], pmf.numerators, quota - 1))
     suffix = [{0: 1}]
-    for dist in reversed(dists[1:]):
-        suffix.append(int_product(suffix[-1], dist.numerators, quota - 1))
+    for pmf in reversed(pmfs[1:]):
+        suffix.append(int_product(suffix[-1], pmf.numerators, quota - 1))
     suffix.reverse()
-    den = prod(dist.den for dist in dists)
+    den = prod(pmf.den for pmf in pmfs)
     influences = {}
     for player, before, after in zip(game.players, prefix, suffix):
         tail = int_product(before, after, quota - 1)
         window = _undecided(player.structure, quota, strict)
         dot = sum(gamma * tail.get(z, 0) for z, gamma in window.items())
         influences[player.name] = Fraction(dot, den)
+    return influences
+
+
+def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:
+    """Influence of every player, normalized to a power vector summing to 1."""
+    influences = _influences(game, strict)
     total = sum(influences.values(), Fraction(0))
     if not total:
         raise DegenerateGameError(

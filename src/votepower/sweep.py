@@ -60,9 +60,6 @@ class ParamRef:
         self.check(game)
         return getattr(game.player(self.player).spec, self.field)
 
-    def applied(self, game: Game, value: ProbabilityLike) -> Game:
-        return game.with_parameter(self.player, self.field, value)
-
 
 def grid_values(
     start: ProbabilityLike, stop: ProbabilityLike, steps: int
@@ -102,6 +99,8 @@ class SweepGrid:
             raise InputError(f"expected {len(self.axes)} indices, got {len(indices)}")
         flat = 0
         for axis, i in zip(self.axes, indices):
+            if i not in range(len(axis.values)):
+                raise InputError(f"index {i!r} is outside axis {axis.param.key}")
             flat = flat * len(axis.values) + i
         return self.cells[flat]
 
@@ -154,10 +153,9 @@ def sweep(game: Game, axes: Sequence[SweepAxis], strict: bool = False) -> SweepG
                 raise InputError(f"{axis.param.key}: grid value {value} outside [0, 1]")
 
     cells = []
+    fields = [(axis.param.player, axis.param.field) for axis in axes]
     for point in product(*(axis.values for axis in axes)):
-        g = game
-        for axis, value in zip(axes, point):
-            g = axis.param.applied(g, value)
+        g = game.with_parameters(dict(zip(fields, point)))
         try:
             cells.append(generalized_banzhaf(g, strict=strict))
         except DegenerateGameError:
@@ -243,9 +241,7 @@ def sensitivity(
                 raise InputError(f"point names {key!r}, which is not a swept parameter")
             values[key] = as_probability(raw, key)
 
-    base = game
-    for ref in params:
-        base = ref.applied(base, values[ref.key])
+    base = game.with_parameters({(ref.player, ref.field): values[ref.key] for ref in params})
 
     for ref in params:
         x = values[ref.key]
@@ -260,8 +256,9 @@ def sensitivity(
     partials = []
     for ref in params:
         x = values[ref.key]
-        upper = generalized_banzhaf(ref.applied(base, x + h), strict=strict)
-        lower = generalized_banzhaf(ref.applied(base, x - h), strict=strict)
+        field = (ref.player, ref.field)
+        upper = generalized_banzhaf(base.with_parameters({field: x + h}), strict=strict)
+        lower = generalized_banzhaf(base.with_parameters({field: x - h}), strict=strict)
         for name in base.names():
             slope = (upper.powers[name] - lower.powers[name]) / (2 * h)
             partials.append((name, ref.key, float(slope)))

@@ -1,4 +1,5 @@
-"""Shared generators for randomized (but seeded) test instances."""
+"""Shared generators for randomized (but seeded) test instances, and
+independent references for the polynomial and product code."""
 
 from __future__ import annotations
 
@@ -43,3 +44,53 @@ def enum_product(polys) -> RationalPoly:
             value *= c
         coeffs[degree] = coeffs.get(degree, Fraction(0)) + value
     return RationalPoly(coeffs)
+
+
+# Reference polynomial arithmetic on plain {degree: Fraction} dicts, zero
+# terms dropped; it shares no code with RationalPoly.
+
+
+def ref_clean(coeffs: dict) -> dict[int, Fraction]:
+    return {d: Fraction(c) for d, c in coeffs.items() if c}
+
+
+def ref_mul(a: dict, b: dict) -> dict[int, Fraction]:
+    out: dict[int, Fraction] = {}
+    for da, ca in a.items():
+        for db, cb in b.items():
+            out[da + db] = out.get(da + db, 0) + ca * cb
+    return ref_clean(out)
+
+
+def ref_pow(a: dict, exponent: int) -> dict[int, Fraction]:
+    out = {0: Fraction(1)}
+    for _ in range(exponent):
+        out = ref_mul(out, a)
+    return out
+
+
+def ref_add(a: dict, b: dict) -> dict[int, Fraction]:
+    return ref_clean({d: a.get(d, 0) + b.get(d, 0) for d in a.keys() | b.keys()})
+
+
+def ref_scale(a: dict, scalar: Fraction) -> dict[int, Fraction]:
+    return ref_clean({d: c * scalar for d, c in a.items()})
+
+
+def ref_dot(a: dict, b: dict) -> Fraction:
+    return sum((c * b[d] for d, c in a.items() if d in b), Fraction(0))
+
+
+def ref_extract(a: dict, lo: int, hi: int | None) -> dict[int, Fraction]:
+    return {d: c for d, c in a.items() if lo <= d and (hi is None or d <= hi)}
+
+
+def ref_eval(a: dict, x: Fraction) -> Fraction:
+    return sum((c * x**d for d, c in a.items()), Fraction(0))
+
+
+def ref_str(a: dict) -> str:
+    terms = []
+    for d, c in sorted(a.items()):
+        terms.append(str(c) if d == 0 else f"{c}*x" if d == 1 else f"{c}*x^{d}")
+    return " + ".join(terms) or "0"

@@ -129,6 +129,15 @@ class TestInfluencePolyCommand:
         assert payload["terms"] == []
         assert payload["influence"] == "0"
 
+    def test_influence_is_the_power_command_influence(self, capsys):
+        power = run_json(capsys, "power", "--preset", "paper-sec32", "--strict-influence")
+        for player in power["players"]:
+            payload = run_json(
+                capsys, "influence-poly", "--preset", "paper-sec32",
+                "--player", player["name"], "--strict-influence",
+            )
+            assert payload["influence"] == player["influence"]
+
 
 class TestSweepCommand:
     def test_matches_closed_form(self, capsys):
@@ -272,6 +281,28 @@ class TestVerifyCommand:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1
         assert "monte carlo A" in fails[0]
+
+    def test_degenerate_game_verifies(self, capsys, tmp_path):
+        # Every influence is zero, so `power` exits 3; verify still checks
+        # each zero against the oracles.
+        doc = {
+            "quota": 6,
+            "players": [
+                {"name": "A", "structure": {"kind": "deterministic", "votes": 4}},
+                {"name": "B", "structure": {"kind": "deterministic", "votes": 3}},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        code, out = run(capsys, "verify", "--game", str(path))
+        assert code == 0
+        assert out == (
+            "PASS joint vote distribution: enumeration matches polynomial product\n"
+            "PASS influence A: first principles equal the polynomial route (0)\n"
+            "PASS influence B: first principles equal the polynomial route (0)\n"
+            "PASS monte carlo A: estimate 0 within 3 standard errors of 0 (10000 trials, seed 0)\n"
+            "PASS monte carlo B: estimate 0 within 3 standard errors of 0 (10000 trials, seed 0)\n"
+        )
 
 
 class TestPresetDoc:

@@ -448,6 +448,29 @@ class TestGame:
         with pytest.raises(InputError, match="no parameter"):
             game.with_parameter("A", "p", "1/2")
 
+    def test_with_parameters_changes_several_fields_at_once(self):
+        game = load_game(
+            {
+                "quota": 5,
+                "players": [
+                    {"name": "A", "structure": {"kind": "team", "weights": [2, 1], "p": "1/2", "L": "1"}},
+                    {"name": "B", "structure": {"kind": "bernoulli", "votes": 3, "p": "1/2"}},
+                    {"name": "C", "structure": {"kind": "random", "votes": 1}},
+                ],
+            }
+        )
+        changed = game.with_parameters({("A", "p"): "3/4", ("B", "p"): "1/3", ("A", "L"): "1/5"})
+        chained = (
+            game.with_parameter("A", "p", "3/4")
+            .with_parameter("B", "p", "1/3")
+            .with_parameter("A", "L", "1/5")
+        )
+        assert changed == chained
+        assert changed.player("A").structure == team_structure((2, 1), "3/4", "1/5")
+        assert changed.player("C") is game.player("C")
+        with pytest.raises(InputError, match="unknown player"):
+            game.with_parameters({("A", "p"): "3/4", ("Z", "p"): "1/2"})
+
     def test_player_must_have_nonempty_name(self):
         with pytest.raises(GameValidationError):
             Player.from_spec("", StructureSpec(kind="random", votes=1))

@@ -209,3 +209,39 @@ class TestRepresentation:
     def test_str(self):
         assert str(RationalPoly({0: HALF, 1: F(1, 3), 4: HALF})) == "1/2 + 1/3*x + 1/2*x^4"
         assert str(ZERO) == "0"
+
+
+class TestCanonicalForm:
+    def test_common_factors_are_reduced(self):
+        numerators = {0: 3, 2: -5, 7: 4}
+        base = RationalPoly.from_integers(numerators, 10)
+        for k in (2, 3, 12, 2**64):
+            scaled = RationalPoly.from_integers({d: k * c for d, c in numerators.items()}, k * 10)
+            assert scaled == base and hash(scaled) == hash(base)
+            assert (scaled.den, scaled.numerators) == (10, numerators)
+
+    def test_zero_polynomial(self):
+        built = [
+            ZERO,
+            RationalPoly(),
+            RationalPoly({0: 0, 5: F(0)}),
+            RationalPoly.from_integers({0: 0, 3: 0}, 7),
+            half_structure(4) * 0,
+            half_structure(4) + half_structure(4) * -1,
+        ]
+        assert all((p.den, p.numerators) == (1, {}) for p in built)
+
+    def test_operations_reduce_again(self):
+        p = RationalPoly({0: HALF, 1: F(1, 6), 2: F(1, 3)})
+        assert p.den == 6
+        assert p.extract(0, 0).den == 2
+        assert p.extract(1, 1).den == 6
+        assert (p + RationalPoly({1: F(1, 3), 2: F(1, 6)})).scaled() == (2, {0: 1, 1: 1, 2: 1})
+        assert (p * 3).scaled() == (2, {0: 3, 1: 1, 2: 2})
+        assert (p * "6/7").scaled() == (7, {0: 3, 1: 1, 2: 2})
+        assert (p * 0).scaled() == (1, {})
+
+    def test_denominator_must_be_positive(self):
+        for den in (0, -2):
+            with pytest.raises(ValueError, match="positive integer"):
+                RationalPoly.from_integers({0: 1}, den)

@@ -1,19 +1,32 @@
 """Property tests: the influence polynomial against its definition, the
 generalized index against classic Banzhaf counts under random voting and
-against first-principles influence, classic Banzhaf against coalition
-enumeration, the integer product engine against enumerated products, the
-structure builders against the Fraction route, and game documents against
-their round trip.
+against first-principles influence, single influences against the
+generalized index, classic Banzhaf against coalition enumeration, the
+integer product engine against enumerated products, RationalPoly's
+operators against plain Fraction dicts, the structure builders against the
+Fraction route, and game documents against their round trip.
 
 Examples are derandomized, so every run checks the same games.
 """
 
 import json
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import enum_product
+from conftest import (
+    enum_product,
+    ref_add,
+    ref_clean,
+    ref_dot,
+    ref_eval,
+    ref_extract,
+    ref_mul,
+    ref_pow,
+    ref_scale,
+    ref_str,
+)
 from votepower.errors import DegenerateGameError
 from votepower.model import (
     KINDS,
@@ -151,6 +164,54 @@ def test_int_product_is_the_enumerated_product_cut_at_every_degree(a, b):
         assert RationalPoly(int_product(a, b, top)) == expanded.extract(0, top)
 
 
+# Signed coefficients, zeros included, over small and wide numerators.
+fraction_coefficients = st.one_of(
+    st.fractions(-5, 5, max_denominator=12),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**6)),
+)
+fraction_dicts = st.dictionaries(st.integers(0, 12), fraction_coefficients, max_size=7)
+scalars = st.one_of(
+    st.just(0), st.integers(-9, 9), st.fractions(max_denominator=30),
+    st.fractions(max_denominator=30).map(str),
+)
+
+
+def reference(poly):
+    """The polynomial as {degree: Fraction}, read from its stored integers,
+    after checking that they are in canonical form."""
+    assert poly.den >= 1 and all(poly.numerators.values())
+    assert gcd(poly.den, *poly.numerators.values()) == 1
+    return {d: Fraction(c, poly.den) for d, c in poly.numerators.items()}
+
+
+@deterministic
+@given(
+    fraction_dicts,
+    fraction_dicts,
+    scalars,
+    st.integers(0, 4),
+    st.integers(0, 14),
+    st.one_of(st.none(), st.integers(0, 14)),
+    st.fractions(-3, 3, max_denominator=7),
+)
+def test_poly_operators_are_the_fraction_dict_operations(a, b, scalar, exponent, lo, span, x):
+    pa, pb = RationalPoly(a), RationalPoly(b)
+    a, b = ref_clean(a), ref_clean(b)
+    assert reference(pa) == a
+    assert (pa == pb) == (a == b) and pa == RationalPoly(a)
+    assert reference(pa * pb) == ref_mul(a, b)
+    assert reference(pa**exponent) == ref_pow(a, exponent)
+    assert reference(pa + pb) == ref_add(a, b)
+    assert reference(pa * scalar) == reference(scalar * pa) == ref_scale(a, Fraction(scalar))
+    assert pa.dot(pb) == ref_dot(a, b)
+    hi = None if span is None else lo + span
+    assert reference(pa.extract(lo, hi)) == ref_extract(a, lo, hi)
+    assert pa(x) == ref_eval(a, x)
+    assert all(pa.coeff(d) == a.get(d, 0) for d in range(14))
+    assert list(pa.items()) == sorted(a.items())
+    assert str(pa) == ref_str(a)
+
+
 # Up to 4 support points over 0..8 votes, as pmf entries.
 small_entries = st.lists(
     st.tuples(st.integers(0, 8), st.integers(1, 9)),
@@ -200,6 +261,15 @@ def test_generalized_influences_are_first_principles(game):
         if not any(expected.values()):
             expected = None
         assert influences_or_none(game, strict) == expected
+
+
+@deterministic
+@given(pmf_games())
+def test_influence_is_one_entry_of_the_generalized_index(game):
+    for strict in (False, True):
+        single = {name: influence(game, name, strict) for name in game.names()}
+        # Where every influence is zero, the index raises but each entry is 0.
+        assert single == (influences_or_none(game, strict) or dict.fromkeys(single, 0))
 
 
 @deterministic

@@ -8,6 +8,7 @@ import pytest
 
 from votepower.errors import InputError
 from votepower.model import (
+    StructureSpec,
     deterministic_structure,
     load_game,
     uniform_team_structure,
@@ -121,6 +122,40 @@ class TestSweep:
         assert grid.cells[0] is None
         assert grid.cells[1] is not None
         assert grid.cells[2] is None
+
+    def test_builds_each_swept_player_once_per_point(self, monkeypatch):
+        # A 2-axis sweep over one player's L and p rebuilds that player once
+        # per grid point, not once per axis.
+        game = preset_game("paper-eq31")
+        builds = []
+        original = StructureSpec.build
+
+        def spy(spec):
+            builds.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(StructureSpec, "build", spy)
+        values = grid_values(0, 1, 7)
+        sweep(game, [SweepAxis(ParamRef("A", "L"), values), SweepAxis(ParamRef("A", "p"), values)])
+        assert len(builds) == 49
+        assert {(spec.L, spec.p) for spec in builds} == {(L, p) for L in values for p in values}
+
+    # On a 3x3 grid the first two used to read cells (1, 2) and (2, 2); the
+    # third raised a bare IndexError.
+    @pytest.mark.parametrize(
+        "indices, message",
+        [((0, 5), "index 5 is outside axis A.p"), ((0, -1), "index -1 is outside axis A.p"),
+         ((3, 0), "index 3 is outside axis A.L")],
+    )
+    def test_cell_rejects_an_index_outside_its_axis(self, indices, message):
+        game = preset_game("paper-eq31")
+        values = (F(0), HALF, F(1))
+        grid = sweep(
+            game,
+            [SweepAxis(ParamRef("A", "L"), values), SweepAxis(ParamRef("A", "p"), values)],
+        )
+        with pytest.raises(InputError, match=message):
+            grid.cell(*indices)
 
     def test_axis_count_enforced(self):
         game = preset_game("paper-eq25")
