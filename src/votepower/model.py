@@ -7,9 +7,10 @@ all-or-nothing voting, deterministic voting, all-or-nothing with an
 arbitrary probability, a free-form distribution, and leader-led teams whose
 members follow the leader's wish independently with some probability.
 No constructor does ``Fraction`` arithmetic: teams are built from
-binomial numerators on the integer product engine, and every distribution
-wraps one ``RationalPoly``, whose integers the power engines read as
-stored.
+binomial numerators on the integer product engine, one product chain per
+team, since a defying member casts exactly when a follower would not.
+Every distribution wraps one ``RationalPoly``, whose integers the power
+engines read as stored.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
@@ -163,9 +164,12 @@ def team_structure(
     and does the exact opposite otherwise.
 
     With p = a/b, members of equal weight form one binomial factor, and the
-    factors multiply on the integer engine, so the team's numerators over
-    b^K (K members) come without any ``Fraction`` arithmetic.  With L = c/e
-    the team is c * follow + (e - c) * defy over e * b^K.
+    factors multiply on the integer engine into the follow branch, numerators
+    over b^K (K members), without any ``Fraction`` arithmetic.  A defying
+    member casts exactly when a follower would not, so the defy branch is the
+    follow branch reflected, x^W * follow(1/x) for the total weight W, and
+    needs no product of its own.  With L = c/e the team is
+    c * follow + (e - c) * defy over e * b^K.
     """
     weights = tuple(weights)
     if not weights:
@@ -176,20 +180,15 @@ def team_structure(
     L = as_probability(L, "L")
     a, b = p.numerator, p.denominator
     c, e = L.numerator, L.denominator
-    groups = Counter(weights).items()
     top = sum(weights)
-
-    def product(cast: int, abstain: int) -> dict[int, int]:
-        factors = [_members(w, k, cast, abstain) for w, k in groups]
-        acc = factors[0]
-        for factor in factors[1:]:
-            acc = int_product(acc, factor, top)
-        return acc
-
-    follow, defy = product(a, b - a), product(b - a, a)
-    mixed = {
-        d: c * follow.get(d, 0) + (e - c) * defy.get(d, 0) for d in follow.keys() | defy.keys()
-    }
+    factors = [_members(w, k, a, b - a) for w, k in Counter(weights).items()]
+    follow = factors[0]
+    for factor in factors[1:]:
+        follow = int_product(follow, factor, top)
+    mixed: Counter[int] = Counter()
+    for d, count in follow.items():
+        mixed[d] += c * count
+        mixed[top - d] += (e - c) * count
     return VoteDistribution.from_integers(mixed, e * b ** len(weights))
 
 

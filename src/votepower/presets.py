@@ -30,8 +30,11 @@ def _bernoulli(name: str, votes: int, p: str) -> dict:
     return {"name": name, "structure": {"kind": "bernoulli", "votes": votes, "p": p}}
 
 
-def _game_6_4321(first_player: dict | None = None) -> dict:
-    players = [first_player or _random("A", 4), _random("B", 3), _random("C", 2), _random("D", 1)]
+def _game_6_4321(slot: int = 0, player: dict | None = None) -> dict:
+    """[6; 4, 3, 2, 1] with everyone fifty-fifty, or ``player`` in ``slot``."""
+    players = [_random("A", 4), _random("B", 3), _random("C", 2), _random("D", 1)]
+    if player is not None:
+        players[slot] = player
     return {"quota": 6, "players": players}
 
 
@@ -46,45 +49,39 @@ def paper_sec32() -> dict:
         "kind": "pmf",
         "entries": [[0, "1/10"], [2, "4/10"], [3, "3/10"], [4, "2/10"]],
     }
-    return _game_6_4321({"name": "A", "structure": structure})
+    return _game_6_4321(0, {"name": "A", "structure": structure})
 
 
 def paper_eq25(p: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with A all-or-nothing at probability p."""
-    return _game_6_4321(_bernoulli("A", 4, p))
+    return _game_6_4321(0, _bernoulli("A", 4, p))
 
 
 def paper_eq26(p: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with B all-or-nothing at probability p."""
-    doc = _game_6_4321()
-    doc["players"][1] = _bernoulli("B", 3, p)
-    return doc
+    return _game_6_4321(1, _bernoulli("B", 3, p))
 
 
 def paper_eq27(p: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with C all-or-nothing at probability p."""
-    doc = _game_6_4321()
-    doc["players"][2] = _bernoulli("C", 2, p)
-    return doc
+    return _game_6_4321(2, _bernoulli("C", 2, p))
 
 
 def paper_eq28(p: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with D all-or-nothing at probability p."""
-    doc = _game_6_4321()
-    doc["players"][3] = _bernoulli("D", 1, p)
-    return doc
+    return _game_6_4321(3, _bernoulli("D", 1, p))
 
 
 def paper_eq31(p: str = "1/2", L: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with A replaced by a led team of weights {2, 1, 1}."""
     team = {"kind": "team", "weights": [2, 1, 1], "p": p, "L": L}
-    return _game_6_4321({"name": "A", "structure": team})
+    return _game_6_4321(0, {"name": "A", "structure": team})
 
 
 def paper_eq32(p: str = "1/2", L: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with A replaced by a led team of four single votes."""
     team = {"kind": "uniform_team", "n": 4, "p": p, "L": L}
-    return _game_6_4321({"name": "A", "structure": team})
+    return _game_6_4321(0, {"name": "A", "structure": team})
 
 
 def senate_113(

@@ -274,14 +274,16 @@ def structure_series(
 
     Returns (pmf coefficients for 0..max_votes, influence coefficients for
     0..quota-1), ready to plot or dump as CSV.  Raises CapacityError when
-    either would run past ``SERIES_CAP`` degrees.
+    either would run past ``SERIES_CAP`` degrees, before building either.
     """
-    ipoly = influence_polynomial(dist, quota, strict=strict)
+    if not isinstance(quota, int) or quota < 1:
+        raise InputError(f"quota must be a positive integer, got {quota!r}")
     length = max(dist.max_votes + 1, quota)
     if length > SERIES_CAP:
         raise CapacityError(
             f"a series of {length} degrees exceeds the series cap of {SERIES_CAP}"
         )
+    ipoly = influence_polynomial(dist, quota, strict=strict)
     pmf = tuple(dist.pmf.coeff(j) for j in range(dist.max_votes + 1))
     infl = tuple(ipoly.coeff(z) for z in range(quota))
     return pmf, infl

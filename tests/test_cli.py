@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,6 +231,26 @@ class TestSeriesCommand:
         assert time.perf_counter() - started < 1
         assert code == 4
         assert out == ""
+
+    def test_player_over_the_series_cap_exits_4_without_building(self, capsys, tmp_path):
+        doc = {
+            "quota": 1_200_000,
+            "players": [
+                {"name": "A", "structure": {"kind": "pmf", "entries": [[0, "1/2"], [1_200_000, "1/2"]]}},
+                {"name": "B", "structure": {"kind": "random", "votes": 1}},
+            ],
+        }
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            code, out = run(capsys, "series", "--game", str(path), "--player", "A")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 4
+        assert out == ""
+        assert peak < 2**20
 
     def test_quota_below_the_series_cap_prints_every_degree(self, capsys, tmp_path):
         doc = {

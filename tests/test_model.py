@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_distribution
+from votepower import model
 from votepower.errors import GameValidationError, InputError
 from votepower.model import (
     KINDS,
@@ -27,7 +28,7 @@ from votepower.model import (
     uniform_team_structure,
 )
 from votepower.oracle import joint_distribution_enum
-from votepower.poly import ONE, RationalPoly
+from votepower.poly import ONE, RationalPoly, int_product
 
 F = Fraction
 HALF = F(1, 2)
@@ -169,6 +170,28 @@ class TestTeamStructure:
                 follow = joint_distribution_enum([bernoulli_structure(w, p) for w in weights])
                 defy = joint_distribution_enum([bernoulli_structure(w, 1 - p) for w in weights])
                 assert team_structure(weights, p, L).pmf == L * follow + (1 - L) * defy
+
+    @pytest.mark.parametrize(
+        "build, products",
+        [
+            (lambda: team_structure((2, 1, 1), F(9, 10), F(3, 10)), 1),
+            (lambda: team_structure((3, 2, 2, 1), F(9, 10), F(3, 10)), 2),
+            (lambda: uniform_team_structure(53, F(21, 25), F(3, 10)), 0),
+        ],
+        ids=["2,1,1", "3,2,2,1", "53 unit members"],
+    )
+    def test_one_product_chain(self, monkeypatch, build, products):
+        # The defy branch is the follow branch reflected, so only the follow
+        # branch multiplies its weight groups.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return int_product(*args)
+
+        monkeypatch.setattr(model, "int_product", spy)
+        build()
+        assert len(calls) == products
 
 
 class TestUniformTeamStructure:

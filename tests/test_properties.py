@@ -379,6 +379,7 @@ def test_team_builder_is_the_fraction_route(weights, p, L):
     follow = enum_product([member(w, p) for w in weights])
     defy = enum_product([member(w, 1 - p) for w in weights])
     assert_built_as(team_structure(weights, p, L), L * follow + (1 - L) * defy)
+    assert team_structure(weights, p, L) == team_structure(weights, 1 - p, 1 - L)
 
 
 @deterministic

@@ -2,15 +2,17 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from votepower.errors import InputError
+from votepower.errors import CapacityError, InputError
 from votepower.model import (
     StructureSpec,
     deterministic_structure,
     load_game,
+    pmf_structure,
     uniform_team_structure,
 )
 from votepower.power import generalized_banzhaf
@@ -275,6 +277,21 @@ class TestStructureSeries:
         pmf, infl = structure_series(deterministic_structure(4), 6)
         assert pmf == (F(0), F(0), F(0), F(0), F(1))
         assert infl == (F(0),) * 6
+
+    def test_over_the_cap_refuses_before_building(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the influence polynomial")
+
+        monkeypatch.setattr(sys.modules["votepower.sweep"], "influence_polynomial", refuse)
+        far = pmf_structure([(0, HALF), (1_200_000, HALF)])
+        with pytest.raises(CapacityError) as excinfo:
+            structure_series(far, 1_200_000)
+        assert str(excinfo.value) == "a series of 1200001 degrees exceeds the series cap of 1000000"
+
+    @pytest.mark.parametrize("quota", [0, -3, "6", 2.5, 10**7 + 0.5])
+    def test_bad_quota_is_an_input_error_not_a_capacity_error(self, quota):
+        with pytest.raises(InputError, match="quota must be a positive integer"):
+            structure_series(deterministic_structure(4), quota)
 
 
 class TestCsv:
