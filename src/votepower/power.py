@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError
 from .model import Game, VoteDistribution
@@ -107,24 +107,22 @@ def classic_banzhaf(
     return BanzhafReport.from_counts(counts)
 
 
-def _undecided(dist: VoteDistribution, quota: int, strict: bool) -> dict[int, int]:
-    """dist.den * min(v_Z, 1 - v_Z) at each Z where it is nonzero.
+def _undecided(dist: VoteDistribution, quota: int, strict: bool) -> Iterator[tuple[int, int]]:
+    """(Z, dist.den * min(v_Z, 1 - v_Z)) at each Z, rising, where it is nonzero.
 
     v_Z is one running sum over the distribution's numerators: 0 below
     Z = quota - max_votes, starting from the mass above the quota and
-    growing by P(quota - Z) per step.
+    growing by P(quota - Z) per step.  Nothing is stored per threshold.
     """
     den, pmf = dist.den, dist.numerators
     if strict:
         pmf = {d: c for d, c in pmf.items() if d < quota}
     v = sum(c for d, c in pmf.items() if d > quota)
-    out = {}
     for z in range(max(0, quota - max(pmf, default=0)), quota):
         v += pmf.get(quota - z, 0)
         gamma = min(v, den - v)
         if gamma:
-            out[z] = gamma
-    return out
+            yield z, gamma
 
 
 def losing_tail(game: Game, excluded: str) -> RationalPoly:
@@ -161,14 +159,15 @@ def influence_polynomial(
     """
     if not isinstance(quota, int) or quota < 1:
         raise InputError(f"quota must be a positive integer, got {quota!r}")
-    return RationalPoly.from_integers(_undecided(dist, quota, strict), dist.den)
+    return RationalPoly.from_integers(dict(_undecided(dist, quota, strict)), dist.den)
 
 
 def influence(game: Game, who: str, strict: bool = False) -> Fraction:
     """Expected decisiveness of one player, as ``generalized_banzhaf``
     reports it; defined also where every influence is zero."""
     game.player(who)  # raises InputError for unknown names
-    return _influences(game, strict)[who]
+    den, dots = _influences(game, strict)
+    return Fraction(dots[who], den)
 
 
 @dataclass(frozen=True)
@@ -180,13 +179,12 @@ class PowerReport:
     proper_game: bool
 
 
-def _influences(game: Game, strict: bool) -> dict[str, Fraction]:
-    """Every player's influence, each distribution read as integers over
-    its own denominator.  Player i's losing tail is the product of the
+def _influences(game: Game, strict: bool) -> tuple[int, dict[str, int]]:
+    """The product of all the denominators, and every player's influence
+    as an integer over it.  Player i's losing tail is the product of the
     prefix of players before i and the suffix after i, both truncated below
     the quota, so the n tails cost about 3n products.  Each influence is one
-    integer dot product over the player's window, divided by the product of
-    all the denominators.
+    integer dot product of the tail with the player's streamed window.
     """
     quota = game.quota
     pmfs = [p.structure.pmf for p in game.players]
@@ -198,23 +196,22 @@ def _influences(game: Game, strict: bool) -> dict[str, Fraction]:
     for pmf in reversed(pmfs[1:]):
         suffix.append(int_product(suffix[-1], pmf.numerators, quota - 1))
     suffix.reverse()
-    den = prod(pmf.den for pmf in pmfs)
-    influences = {}
+    dots = {}
     for player, before, after in zip(game.players, prefix, suffix):
         tail = int_product(before, after, quota - 1)
         window = _undecided(player.structure, quota, strict)
-        dot = sum(gamma * tail.get(z, 0) for z, gamma in window.items())
-        influences[player.name] = Fraction(dot, den)
-    return influences
+        dots[player.name] = sum(gamma * tail.get(z, 0) for z, gamma in window)
+    return prod(pmf.den for pmf in pmfs), dots
 
 
 def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:
     """Influence of every player, normalized to a power vector summing to 1."""
-    influences = _influences(game, strict)
-    total = sum(influences.values(), Fraction(0))
+    den, dots = _influences(game, strict)
+    total = sum(dots.values())
     if not total:
         raise DegenerateGameError(
             "every player has zero influence; powers are undefined"
         )
-    powers = {name: value / total for name, value in influences.items()}
+    influences = {name: Fraction(dot, den) for name, dot in dots.items()}
+    powers = {name: Fraction(dot, total) for name, dot in dots.items()}
     return PowerReport(influences, powers, game.is_proper)

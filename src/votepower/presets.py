@@ -30,6 +30,10 @@ def _bernoulli(name: str, votes: int, p: str) -> dict:
     return {"name": name, "structure": {"kind": "bernoulli", "votes": votes, "p": p}}
 
 
+def _uniform_team(name: str, n: int, p: str, L: str) -> dict:
+    return {"name": name, "structure": {"kind": "uniform_team", "n": n, "p": p, "L": L}}
+
+
 def _game_6_4321(slot: int = 0, player: dict | None = None) -> dict:
     """[6; 4, 3, 2, 1] with everyone fifty-fifty, or ``player`` in ``slot``."""
     players = [_random("A", 4), _random("B", 3), _random("C", 2), _random("D", 1)]
@@ -80,8 +84,7 @@ def paper_eq31(p: str = "1/2", L: str = "1/2") -> dict:
 
 def paper_eq32(p: str = "1/2", L: str = "1/2") -> dict:
     """[6; 4, 3, 2, 1] with A replaced by a led team of four single votes."""
-    team = {"kind": "uniform_team", "n": 4, "p": p, "L": L}
-    return _game_6_4321(0, {"name": "A", "structure": team})
+    return _game_6_4321(0, _uniform_team("A", 4, p, L))
 
 
 def senate_113(
@@ -105,24 +108,8 @@ def senate_113(
     return {
         "quota": 60,
         "players": [
-            {
-                "name": "Dem",
-                "structure": {
-                    "kind": "uniform_team",
-                    "n": 53,
-                    "p": pD if pD is not None else defaults["pD"],
-                    "L": LD,
-                },
-            },
-            {
-                "name": "Rep",
-                "structure": {
-                    "kind": "uniform_team",
-                    "n": 45,
-                    "p": pR if pR is not None else defaults["pR"],
-                    "L": LR,
-                },
-            },
+            _uniform_team("Dem", 53, pD if pD is not None else defaults["pD"], LD),
+            _uniform_team("Rep", 45, pR if pR is not None else defaults["pR"], LR),
             _random("Ind", 2),
         ],
     }

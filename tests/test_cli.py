@@ -9,6 +9,7 @@ import pytest
 
 from votepower.cli import main
 from votepower.errors import InputError
+from votepower.power import influence
 from votepower.presets import preset_doc
 
 F = Fraction
@@ -302,6 +303,30 @@ class TestVerifyCommand:
         fails = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert len(fails) == 1
         assert "monte carlo A" in fails[0]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rare_influence_passes(self, capsys, seed):
+        # Each senate influence is about 1.4e-4, so 2000 samples often never
+        # leave a player undecided and their own standard error is 0.
+        code, out = run(
+            capsys,
+            "verify", "--preset", "senate-113", "--trials", "2000", "--seed", str(seed),
+        )
+        assert code == 0, out
+
+    @pytest.mark.parametrize("player", ["A", "D"])
+    def test_wrong_exact_value_fails_monte_carlo(self, capsys, monkeypatch, player):
+        def doubled(game, name, strict=False):
+            value = influence(game, name, strict)
+            return 2 * value if name == player else value
+
+        monkeypatch.setattr("votepower.cli.influence", doubled)
+        code, out = run(
+            capsys,
+            "verify", "--preset", "paper-6-4321-random", "--trials", "10000", "--seed", "0",
+        )
+        assert code == 5
+        assert f"FAIL monte carlo {player}:" in out
 
     def test_degenerate_game_verifies(self, capsys, tmp_path):
         # Every influence is zero, so `power` exits 3; verify still checks

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 
@@ -344,6 +345,25 @@ class TestGeneralizedBanzhaf:
         assert generalized_banzhaf(game, True).influences == {
             "A": F(3, 64), "B": F(3, 64), "C": F(1, 64)}
         assert time.perf_counter() - started < 1
+
+    def test_undecided_window_is_not_stored(self):
+        # A's window spans every threshold below the quota; streaming it into
+        # the dot product keeps memory off the quota.  A stored window peaks
+        # at about 10 MiB here.
+        quota = 10**5
+        players = (
+            Player.from_spec("A", StructureSpec(kind="pmf", entries=((0, HALF), (quota, HALF)))),
+            Player.from_spec("B", StructureSpec(kind="random", votes=1)),
+        )
+        game = Game(quota, players)
+        tracemalloc.start()
+        try:
+            report = generalized_banzhaf(game)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.influences == {"A": HALF, "B": F(0)}
+        assert peak < 2**20
 
     def test_powers_sum_to_one(self):
         rng = random.Random(101)
