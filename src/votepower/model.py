@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GameValidationError, InputError
@@ -30,19 +30,28 @@ from .poly import RationalPoly, int_product
 
 ProbabilityLike = Union[Fraction, int, str]
 
+HALF = Fraction(1, 2)
+
 
 def as_probability(value: ProbabilityLike, where: str = "probability") -> Fraction:
     """Coerce a string ("0.94" or "47/50"), int, or Fraction to an exact
-    probability in [0, 1]."""
-    if isinstance(value, float):
+    probability in [0, 1].
+
+    A ``Fraction`` is returned as it is (it is immutable), so a value parsed
+    once is never parsed again; the range is checked on its integers.
+    """
+    if isinstance(value, Fraction):
+        p = value
+    elif isinstance(value, float):
         raise InputError(
             f"{where}: floats are not exact; write the value as a string"
         )
-    try:
-        p = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise InputError(f"{where}: cannot parse {value!r} as a rational number") from exc
-    if not 0 <= p <= 1:
+    else:
+        try:
+            p = Fraction(value)
+        except (ValueError, TypeError, ZeroDivisionError) as exc:
+            raise InputError(f"{where}: cannot parse {value!r} as a rational number") from exc
+    if not 0 <= p.numerator <= p.denominator:
         raise InputError(f"{where}: {p} is outside [0, 1]")
     return p
 
@@ -125,7 +134,7 @@ def bernoulli_structure(votes: int, p: ProbabilityLike) -> VoteDistribution:
 
 def random_structure(votes: int) -> VoteDistribution:
     """Equally likely to cast all ``votes`` votes or none (bernoulli with p = 1/2)."""
-    return bernoulli_structure(votes, Fraction(1, 2))
+    return bernoulli_structure(votes, HALF)
 
 
 def deterministic_structure(votes: int) -> VoteDistribution:
@@ -134,7 +143,8 @@ def deterministic_structure(votes: int) -> VoteDistribution:
 
 
 def pmf_structure(entries: Iterable[tuple[int, ProbabilityLike]]) -> VoteDistribution:
-    """Free-form distribution from (votes, probability) pairs."""
+    """Free-form distribution from (votes, probability) pairs, put over the
+    least common multiple of their denominators."""
     coeffs: dict[int, Fraction] = {}
     for votes, raw in entries:
         if not isinstance(votes, int) or votes < 0:
@@ -144,7 +154,10 @@ def pmf_structure(entries: Iterable[tuple[int, ProbabilityLike]]) -> VoteDistrib
         if votes in coeffs:
             raise GameValidationError(f"duplicate entry for {votes} votes")
         coeffs[votes] = as_probability(raw, f"probability of {votes} votes")
-    return VoteDistribution(RationalPoly(coeffs))
+    den = lcm(*(q.denominator for q in coeffs.values()))
+    return VoteDistribution.from_integers(
+        {v: q.numerator * (den // q.denominator) for v, q in coeffs.items()}, den
+    )
 
 
 def _members(weight: int, k: int, cast: int, abstain: int) -> dict[int, int]:

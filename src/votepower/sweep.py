@@ -14,13 +14,12 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 from typing import Mapping, Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError
-from .model import PARAMETERS, Game, ProbabilityLike, VoteDistribution, as_probability
+from .model import HALF, PARAMETERS, Game, ProbabilityLike, VoteDistribution, as_probability
 from .power import SERIES_CAP, PowerReport, generalized_banzhaf, influence_polynomial
-
-HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
@@ -64,15 +63,25 @@ class ParamRef:
 def grid_values(
     start: ProbabilityLike, stop: ProbabilityLike, steps: int
 ) -> tuple[Fraction, ...]:
-    """Inclusive grid of ``steps`` exactly spaced values from start to stop."""
+    """Inclusive grid of ``steps`` exactly spaced values from start to stop.
+
+    Each grid point is one CSV row, so more than ``SERIES_CAP`` steps raise
+    CapacityError before any value is built.  With start = a/b and
+    stop = c/d, value k is (a*d*(steps - 1) + k*(c*b - a*d)) / (b*d*(steps - 1)),
+    one reduction per value.
+    """
     lo = as_probability(start, "grid start")
     hi = as_probability(stop, "grid stop")
     if not isinstance(steps, int) or steps < 1:
         raise InputError(f"steps must be a positive integer, got {steps!r}")
+    if steps > SERIES_CAP:
+        raise CapacityError(f"a grid of {steps} steps exceeds the series cap of {SERIES_CAP}")
     if steps == 1:
         return (lo,)
-    pitch = (hi - lo) / (steps - 1)
-    return tuple(lo + k * pitch for k in range(steps))
+    a, b = lo.numerator, lo.denominator
+    c, d = hi.numerator, hi.denominator
+    base, rise, den = a * d * (steps - 1), c * b - a * d, b * d * (steps - 1)
+    return tuple(Fraction(base + k * rise, den) for k in range(steps))
 
 
 @dataclass(frozen=True)
@@ -141,11 +150,18 @@ def sweep(game: Game, axes: Sequence[SweepAxis], strict: bool = False) -> SweepG
     """Evaluate generalized power at every grid point.
 
     Each point gets a fresh game with the axis values substituted.
-    Degenerate points become empty cells rather than errors.
+    Degenerate points become empty cells rather than errors.  A grid of
+    more than ``SERIES_CAP`` points (one CSV row each) raises CapacityError
+    before any point is evaluated.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise InputError(f"sweeps support 1 or 2 axes, got {len(axes)}")
+    points = prod(len(axis.values) for axis in axes)
+    if points > SERIES_CAP:
+        raise CapacityError(
+            f"a sweep of {points} grid points exceeds the series cap of {SERIES_CAP}"
+        )
     for axis in axes:
         axis.param.check(game)
         for value in axis.values:

@@ -177,6 +177,22 @@ class TestSweepCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            ["--param", "A.p", "--from", "0", "--to", "1", "--steps", "100000000"],
+            ["--param", "A.L", "--from", "0", "--to", "1", "--steps", "1001",
+             "--param", "A.p", "--from", "0", "--to", "1", "--steps", "1000"],
+        ],
+        ids=["one-axis", "two-axes"],
+    )
+    def test_grid_over_the_series_cap_exits_4(self, capsys, axes):
+        started = time.perf_counter()
+        code, out = run(capsys, "sweep", "--preset", "paper-eq31", *axes)
+        assert time.perf_counter() - started < 1
+        assert code == 4
+        assert out == ""
+
 
 class TestSensitivityCommand:
     def test_senate_defaults_to_both_cohesions(self, capsys):

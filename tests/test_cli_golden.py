@@ -32,6 +32,16 @@ SWEEPS = [
     "--preset senate-113 --param Dem.p --from 0 --to 1 --steps 11",
 ]
 
+# Probability parsing at its edges: a descending grid, decimal and fraction
+# grid ends, a one-step axis, and preset options given as strings.
+PARSING = [
+    "sweep --preset paper-eq25 --param A.p --from 1 --to 0 --steps 5 --exact",
+    "sweep --preset paper-eq31 --param A.L --from 0.25 --to 0.75 --steps 1 "
+    "--param A.p --from 3/7 --to 0.9 --steps 4 --exact",
+    "power --preset paper-eq25 --p 0.3",
+    "power --preset senate-113 --pD 0.9 --LR 1/3",
+]
+
 
 def commands():
     """Every command of the table, as the one-line string that keys it."""
@@ -48,6 +58,7 @@ def commands():
         out.extend(f"sweep {spec} --exact{strict}" for spec in SWEEPS)
         out.append(f"sensitivity --preset senate-113{strict}")
     out.append("banzhaf 6 4 3 2 1")
+    out.extend(PARSING)
     return out
 
 

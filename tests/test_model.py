@@ -56,6 +56,22 @@ class TestAsProbability:
         with pytest.raises(InputError):
             as_probability("one half")
 
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            ("3/2", "p: 3/2 is outside [0, 1]"),
+            ("-1/2", "p: -1/2 is outside [0, 1]"),
+            (F(3, 2), "p: 3/2 is outside [0, 1]"),
+            ("x", "p: cannot parse 'x' as a rational number"),
+            ("1/0", "p: cannot parse '1/0' as a rational number"),
+            (0.5, "p: floats are not exact; write the value as a string"),
+        ],
+    )
+    def test_error_texts(self, value, text):
+        with pytest.raises(InputError) as exc:
+            as_probability(value, "p")
+        assert str(exc.value) == text
+
 
 class TestRandomStructure:
     def test_four_votes(self):

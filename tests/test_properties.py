@@ -4,7 +4,8 @@ against first-principles influence, single influences against the
 generalized index, classic Banzhaf against coalition enumeration, the
 integer product engine against enumerated products, RationalPoly's
 operators against plain Fraction dicts, the structure builders against the
-Fraction route, and game documents against their round trip.
+Fraction route, exactly spaced grids against their Fraction formula,
+probability parsing, and game documents against their round trip.
 
 Examples are derandomized, so every run checks the same games.
 """
@@ -13,6 +14,7 @@ import json
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
@@ -27,13 +29,14 @@ from conftest import (
     ref_scale,
     ref_str,
 )
-from votepower.errors import DegenerateGameError
+from votepower.errors import DegenerateGameError, GameValidationError
 from votepower.model import (
     KINDS,
     Game,
     Player,
     StructureSpec,
     VoteDistribution,
+    as_probability,
     bernoulli_structure,
     load_game,
     pmf_structure,
@@ -52,6 +55,7 @@ from votepower.power import (
     influence,
     influence_polynomial,
 )
+from votepower.sweep import grid_values
 
 deterministic = settings(derandomize=True, database=None, deadline=None)
 
@@ -407,3 +411,79 @@ def test_pmf_builder_is_the_fraction_route(weighted):
     total = sum(w for _, w in weighted)
     entries = [(votes, Fraction(w, total)) for votes, w in weighted]
     assert_built_as(pmf_structure(entries), RationalPoly(dict(entries)))
+
+
+def written(q: Fraction, form: int):
+    """``q`` as a caller may pass it: a Fraction, an "a/b" string, an int
+    where it is whole, or a decimal string where its denominator divides
+    10^6."""
+    if form == 1:
+        return f"{q.numerator}/{q.denominator}"
+    if form == 2 and q.denominator == 1:
+        return q.numerator
+    if form == 3 and 10**6 % q.denominator == 0:
+        digits = str(q.numerator * (10**6 // q.denominator)).rjust(7, "0")
+        return f"{digits[:-6]}.{digits[-6:]}"
+    return q
+
+
+def old_pmf_route(entries) -> VoteDistribution:
+    """The Fraction route, kept as the reference for pmf_structure."""
+    return VoteDistribution(RationalPoly(dict(entries)))
+
+
+# Weights over a total with many divisors, so the reduced probabilities have
+# denominators that share factors (1/2, 1/3, 5/12, ...) and decimal forms
+# (1/8, 3/40, ...); zero weights give zero entries, and a lone weight gives
+# probability one.  The total is sometimes off by one, so the sum check
+# must fail the same way on both routes.
+@deterministic
+@given(
+    st.lists(st.tuples(st.integers(0, 40), st.integers(0, 12), st.integers(0, 3)),
+             min_size=1, max_size=7, unique_by=lambda entry: entry[0])
+    .filter(lambda entries: any(w for _, w, _ in entries)),
+    st.sampled_from([1, 2, 3, 8, 10, 12, 40, 120, 1000]),
+    st.sampled_from([0, 0, 0, 1]),
+)
+@example([(0, 0, 0), (3, 1, 1)], 1, 0)
+@example([(0, 1, 3), (5, 0, 2), (9, 1, 3)], 8, 0)
+def test_pmf_builder_is_the_old_fraction_route(weighted, scale, off):
+    total = scale * sum(w for _, w, _ in weighted) + off
+    entries = [(v, written(Fraction(scale * w, total), form)) for v, w, form in weighted]
+    try:
+        old = old_pmf_route(entries)
+    except GameValidationError as exc:
+        with pytest.raises(GameValidationError) as new:
+            pmf_structure(entries)
+        assert str(new.value) == str(exc)
+        return
+    new = pmf_structure(entries)
+    assert new == old
+    assert (new.den, dict(new.numerators), hash(new)) == (old.den, dict(old.numerators), hash(old))
+
+
+probabilities = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(0, 1, max_denominator=60),
+)
+
+
+@deterministic
+@given(probabilities, probabilities, st.integers(1, 50), st.integers(0, 3), st.integers(0, 3))
+@example(Fraction(1, 3), Fraction(1, 3), 7, 0, 1)
+@example(Fraction(1), Fraction(0), 50, 2, 2)
+@example(Fraction(0), Fraction(1), 1, 0, 0)
+@example(Fraction(3, 7), Fraction(9, 10), 4, 1, 3)
+def test_grid_values_are_the_fraction_formula(lo, hi, steps, lo_form, hi_form):
+    grid = grid_values(written(lo, lo_form), written(hi, hi_form), steps)
+    if steps == 1:
+        assert grid == (lo,)
+    else:
+        assert grid == tuple(lo + k * (hi - lo) / (steps - 1) for k in range(steps))
+    assert all(type(value) is Fraction for value in grid)
+
+
+@deterministic
+@given(probabilities)
+def test_a_fraction_is_its_own_probability(q):
+    assert as_probability(q) is q

@@ -15,7 +15,7 @@ from votepower.model import (
     pmf_structure,
     uniform_team_structure,
 )
-from votepower.power import generalized_banzhaf
+from votepower.power import SERIES_CAP, generalized_banzhaf
 from votepower.presets import preset_game
 from votepower.sweep import (
     ParamRef,
@@ -45,6 +45,11 @@ class TestGridValues:
     def test_bad_steps(self):
         with pytest.raises(InputError):
             grid_values(0, 1, 0)
+
+    def test_steps_over_the_series_cap_raise_before_building(self):
+        with pytest.raises(CapacityError):
+            grid_values(0, 1, SERIES_CAP + 1)
+        assert len(grid_values(0, 1, 1000)) == 1000
 
 
 class TestParamRef:
@@ -166,6 +171,22 @@ class TestSweep:
             sweep(game, [])
         with pytest.raises(InputError):
             sweep(game, [axis, axis, axis])
+
+    def test_grid_over_the_series_cap_raises_before_any_point(self, monkeypatch):
+        # 1,001 x 1,000 points, each axis within the cap, one CSV row each.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a grid point was evaluated")
+
+        # The package's ``sweep`` attribute is the function, so reach the
+        # module through sys.modules.
+        monkeypatch.setattr(sys.modules["votepower.sweep"], "generalized_banzhaf", unreachable)
+        game = preset_game("paper-eq31")
+        axes = [
+            SweepAxis(ParamRef("A", "L"), grid_values(0, 1, 1001)),
+            SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 1000)),
+        ]
+        with pytest.raises(CapacityError, match="1001000 grid points"):
+            sweep(game, axes)
 
 
 class TestClosedForms:
