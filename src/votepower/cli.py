@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from math import prod
 from pathlib import Path
 from typing import Sequence
@@ -212,7 +213,11 @@ def cmd_verify(args) -> int:
     convolved = prod((s.pmf for s in structures), start=ONE)
     check(enumerated == convolved, "joint vote distribution: enumeration matches polynomial product")
 
-    influences = {name: influence(game, name) for name in game.names()}
+    try:
+        influences = generalized_banzhaf(game).influences
+    except DegenerateGameError:
+        # The influences are non-negative and sum to zero, so each is zero.
+        influences = dict.fromkeys(game.names(), Fraction(0))
     for player in game.players:
         exact = influences[player.name]
         first = influence_first_principles(game, player.name)

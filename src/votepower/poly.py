@@ -137,8 +137,8 @@ class RationalPoly:
     @classmethod
     def from_integers(cls, numerators: Mapping[int, int], den: int) -> RationalPoly:
         """The polynomial with coefficient numerators[d] / den at each degree d,
-        for a positive ``den``; the inverse of ``scaled``.  Zero entries are
-        dropped and one gcd pass reduces the pair to its canonical form."""
+        for a positive ``den``.  Zero entries are dropped and one gcd pass
+        reduces the pair to its canonical form."""
         if not isinstance(den, int) or den < 1:
             raise ValueError(f"the denominator must be a positive integer, got {den!r}")
         common = gcd(den, *numerators.values())
@@ -146,11 +146,6 @@ class RationalPoly:
         poly.den = den // common
         poly.numerators = {d: c // common for d, c in numerators.items() if c}
         return poly
-
-    def scaled(self) -> tuple[int, dict[int, int]]:
-        """The least common denominator of the coefficients, and the integer
-        numerators over it, keyed by degree (shared, not to be modified)."""
-        return self.den, self.numerators
 
     def coeff(self, degree: int) -> Fraction:
         """Coefficient of x^degree; zero if the term is absent."""
@@ -184,37 +179,12 @@ class RationalPoly:
         }
         return RationalPoly.from_integers(kept, self.den)
 
-    def dot(self, other: RationalPoly) -> Fraction:
-        """Sum of products of coefficients at common degrees."""
-        a, b = self.numerators, other.numerators
-        if len(b) < len(a):
-            a, b = b, a
-        total = sum(c * b[d] for d, c in a.items() if d in b)
-        return Fraction(total, self.den * other.den)
-
-    def __call__(self, point: Coefficient) -> Fraction:
-        """Evaluate exactly at ``point``."""
-        x = _exact(point)
-        return Fraction(sum(c * x**d for d, c in self.numerators.items()), self.den)
-
-    def __add__(self, other: RationalPoly) -> RationalPoly:
+    def __mul__(self, other: RationalPoly) -> RationalPoly:
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        merged = {d: c * other.den for d, c in self.numerators.items()}
-        for degree, c in other.numerators.items():
-            merged[degree] = merged.get(degree, 0) + c * self.den
-        return RationalPoly.from_integers(merged, self.den * other.den)
-
-    def __mul__(self, other: RationalPoly | Coefficient) -> RationalPoly:
-        if isinstance(other, RationalPoly):
-            top = self.degree + other.degree
-            product = int_product(self.numerators, other.numerators, top)
-            return RationalPoly.from_integers(product, self.den * other.den)
-        if isinstance(other, (int, str, Fraction)):
-            scalar = Fraction(other)
-            scaled = {d: c * scalar.numerator for d, c in self.numerators.items()}
-            return RationalPoly.from_integers(scaled, self.den * scalar.denominator)
-        return NotImplemented
+        top = self.degree + other.degree
+        product = int_product(self.numerators, other.numerators, top)
+        return RationalPoly.from_integers(product, self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -146,17 +146,28 @@ def _format_value(value: Fraction, precision: int, exact: bool) -> str:
     return format(float(value), f".{precision}g")
 
 
+def _check_distinct(params: Sequence[ParamRef]) -> None:
+    """Raise InputError if a parameter is named twice: the later value would
+    silently replace the earlier one at every point."""
+    seen = set()
+    for ref in params:
+        if ref.key in seen:
+            raise InputError(f"parameter {ref.key} is given more than once")
+        seen.add(ref.key)
+
+
 def sweep(game: Game, axes: Sequence[SweepAxis], strict: bool = False) -> SweepGrid:
     """Evaluate generalized power at every grid point.
 
     Each point gets a fresh game with the axis values substituted.
-    Degenerate points become empty cells rather than errors.  A grid of
-    more than ``SERIES_CAP`` points (one CSV row each) raises CapacityError
-    before any point is evaluated.
+    Degenerate points become empty cells rather than errors.  A repeated
+    parameter raises InputError, and a grid of more than ``SERIES_CAP``
+    points (one CSV row each) CapacityError, before any point is evaluated.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
         raise InputError(f"sweeps support 1 or 2 axes, got {len(axes)}")
+    _check_distinct([axis.param for axis in axes])
     points = prod(len(axis.values) for axis in axes)
     if points > SERIES_CAP:
         raise CapacityError(
@@ -236,13 +247,14 @@ def sensitivity(
 
     ``point`` maps parameter keys ("Dem.p") to values; parameters missing
     from it keep the game's current values.  The interior arithmetic is
-    exact; only the reported slopes are decimals.  Steps may not leave
-    [0, 1], and an all-or-nothing p may not be differenced across its kink
-    at p = 1/2.
+    exact; only the reported slopes are decimals.  Each parameter may be
+    named once.  Steps may not leave [0, 1], and an all-or-nothing p may not
+    be differenced across its kink at p = 1/2.
     """
     params = tuple(params)
     if not params:
         raise InputError("at least one parameter is required")
+    _check_distinct(params)
     h = as_probability(h, "h")
     if h == 0:
         raise InputError("h must be positive")

@@ -46,6 +46,12 @@ def enum_product(polys) -> RationalPoly:
     return RationalPoly(coeffs)
 
 
+def mixture(weight: Fraction, a: RationalPoly, b: RationalPoly) -> RationalPoly:
+    """weight * a + (1 - weight) * b, summed coefficient by coefficient."""
+    degrees = set(a.support()) | set(b.support())
+    return RationalPoly({d: weight * a.coeff(d) + (1 - weight) * b.coeff(d) for d in degrees})
+
+
 # Reference polynomial arithmetic on plain {degree: Fraction} dicts, zero
 # terms dropped; it shares no code with RationalPoly.
 
@@ -69,24 +75,8 @@ def ref_pow(a: dict, exponent: int) -> dict[int, Fraction]:
     return out
 
 
-def ref_add(a: dict, b: dict) -> dict[int, Fraction]:
-    return ref_clean({d: a.get(d, 0) + b.get(d, 0) for d in a.keys() | b.keys()})
-
-
-def ref_scale(a: dict, scalar: Fraction) -> dict[int, Fraction]:
-    return ref_clean({d: c * scalar for d, c in a.items()})
-
-
-def ref_dot(a: dict, b: dict) -> Fraction:
-    return sum((c * b[d] for d, c in a.items() if d in b), Fraction(0))
-
-
 def ref_extract(a: dict, lo: int, hi: int | None) -> dict[int, Fraction]:
     return {d: c for d, c in a.items() if lo <= d and (hi is None or d <= hi)}
-
-
-def ref_eval(a: dict, x: Fraction) -> Fraction:
-    return sum((c * x**d for d, c in a.items()), Fraction(0))
 
 
 def ref_str(a: dict) -> str:

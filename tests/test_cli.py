@@ -3,13 +3,15 @@
 import json
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import votepower.power
 from votepower.cli import main
 from votepower.errors import InputError
-from votepower.power import influence
+from votepower.power import generalized_banzhaf
 from votepower.presets import preset_doc
 
 F = Fraction
@@ -193,6 +195,16 @@ class TestSweepCommand:
         assert code == 4
         assert out == ""
 
+    def test_repeated_parameter_exits_2(self, capsys):
+        code, out = run(
+            capsys,
+            "sweep", "--preset", "paper-eq25", "--exact",
+            "--param", "A.p", "--from", "0", "--to", "1", "--steps", "3",
+            "--param", "A.p", "--from", "1/4", "--to", "3/4", "--steps", "2",
+        )
+        assert code == 2
+        assert out == ""
+
 
 class TestSensitivityCommand:
     def test_senate_defaults_to_both_cohesions(self, capsys):
@@ -211,6 +223,13 @@ class TestSensitivityCommand:
     def test_game_without_parameters(self, capsys):
         code, _ = run(capsys, "sensitivity", "--preset", "paper-6-4321-random")
         assert code == 2
+
+    def test_repeated_parameter_exits_2(self, capsys):
+        code, out = run(
+            capsys, "sensitivity", "--preset", "senate-113", "--param", "Dem.p", "--param", "Dem.p"
+        )
+        assert code == 2
+        assert out == ""
 
 
 class TestSeriesCommand:
@@ -332,17 +351,36 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("player", ["A", "D"])
     def test_wrong_exact_value_fails_monte_carlo(self, capsys, monkeypatch, player):
-        def doubled(game, name, strict=False):
-            value = influence(game, name, strict)
-            return 2 * value if name == player else value
+        def doubled(game, strict=False):
+            report = generalized_banzhaf(game, strict)
+            influences = {
+                name: 2 * value if name == player else value
+                for name, value in report.influences.items()
+            }
+            return replace(report, influences=influences)
 
-        monkeypatch.setattr("votepower.cli.influence", doubled)
+        monkeypatch.setattr("votepower.cli.generalized_banzhaf", doubled)
         code, out = run(
             capsys,
             "verify", "--preset", "paper-6-4321-random", "--trials", "10000", "--seed", "0",
         )
         assert code == 5
         assert f"FAIL monte carlo {player}:" in out
+
+    def test_one_engine_pass_serves_every_influence(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return engine(*args, **kwargs)
+
+        engine = votepower.power._influences
+        monkeypatch.setattr(votepower.power, "_influences", counted)
+        code, out = run(
+            capsys, "verify", "--preset", "senate-113", "--trials", "2000", "--seed", "0"
+        )
+        assert code == 0, out
+        assert len(calls) == 1
 
     def test_degenerate_game_verifies(self, capsys, tmp_path):
         # Every influence is zero, so `power` exits 3; verify still checks

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_distribution
+from conftest import mixture, random_distribution
 from votepower import model
 from votepower.errors import GameValidationError, InputError
 from votepower.model import (
@@ -81,7 +81,7 @@ class TestRandomStructure:
         assert random_structure(1).pmf == RationalPoly({0: HALF, 1: HALF})
 
     def test_normalized(self):
-        assert random_structure(7).pmf(1) == 1
+        assert sum(c for _, c in random_structure(7).pmf.items()) == 1
 
     def test_zero_votes_rejected(self):
         with pytest.raises(GameValidationError):
@@ -167,7 +167,7 @@ class TestTeamStructure:
         for p in PROB_GRID:
             for L in PROB_GRID:
                 dist = team_structure((2, 1, 3), p, L)
-                assert dist.pmf(1) == 1
+                assert sum(c for _, c in dist.pmf.items()) == 1
 
     def test_empty_team_rejected(self):
         with pytest.raises(GameValidationError):
@@ -185,7 +185,7 @@ class TestTeamStructure:
             for L in PROB_GRID:
                 follow = joint_distribution_enum([bernoulli_structure(w, p) for w in weights])
                 defy = joint_distribution_enum([bernoulli_structure(w, 1 - p) for w in weights])
-                assert team_structure(weights, p, L).pmf == L * follow + (1 - L) * defy
+                assert team_structure(weights, p, L).pmf == mixture(L, follow, defy)
 
     @pytest.mark.parametrize(
         "build, products",
@@ -264,7 +264,7 @@ class TestVoteDistribution:
         dist = pmf_structure([(0, F(1, 6)), (1, HALF), (3, F(1, 3))])
         assert dist.den == 6
         assert dict(dist.numerators) == {0: 1, 1: 3, 3: 2}
-        assert dist.pmf.scaled() == (6, {0: 1, 1: 3, 3: 2})
+        assert (dist.pmf.den, dist.pmf.numerators) == (6, {0: 1, 1: 3, 3: 2})
 
     def test_integers_are_reduced(self):
         dist = VoteDistribution.from_integers({0: 2, 4: 2, 7: 0}, 4)
@@ -301,7 +301,7 @@ class TestRandomDistributions:
         rng = random.Random(73)
         for _ in range(50):
             dist = random_distribution(rng)
-            assert dist.pmf(1) == 1
+            assert sum(c for _, c in dist.pmf.items()) == 1
             assert all(c > 0 for _, c in dist.pmf.items())
             assert dist.prob_at_least(0) == 1
             assert dist.prob_at_least(dist.max_votes + 1) == 0

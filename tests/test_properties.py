@@ -19,14 +19,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     enum_product,
-    ref_add,
+    mixture,
     ref_clean,
-    ref_dot,
-    ref_eval,
     ref_extract,
     ref_mul,
     ref_pow,
-    ref_scale,
     ref_str,
 )
 from votepower.errors import DegenerateGameError, GameValidationError
@@ -174,10 +171,6 @@ fraction_coefficients = st.one_of(
     st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**6)),
 )
 fraction_dicts = st.dictionaries(st.integers(0, 12), fraction_coefficients, max_size=7)
-scalars = st.one_of(
-    st.just(0), st.integers(-9, 9), st.fractions(max_denominator=30),
-    st.fractions(max_denominator=30).map(str),
-)
 
 
 def reference(poly):
@@ -192,25 +185,19 @@ def reference(poly):
 @given(
     fraction_dicts,
     fraction_dicts,
-    scalars,
     st.integers(0, 4),
     st.integers(0, 14),
     st.one_of(st.none(), st.integers(0, 14)),
-    st.fractions(-3, 3, max_denominator=7),
 )
-def test_poly_operators_are_the_fraction_dict_operations(a, b, scalar, exponent, lo, span, x):
+def test_poly_operators_are_the_fraction_dict_operations(a, b, exponent, lo, span):
     pa, pb = RationalPoly(a), RationalPoly(b)
     a, b = ref_clean(a), ref_clean(b)
     assert reference(pa) == a
     assert (pa == pb) == (a == b) and pa == RationalPoly(a)
     assert reference(pa * pb) == ref_mul(a, b)
     assert reference(pa**exponent) == ref_pow(a, exponent)
-    assert reference(pa + pb) == ref_add(a, b)
-    assert reference(pa * scalar) == reference(scalar * pa) == ref_scale(a, Fraction(scalar))
-    assert pa.dot(pb) == ref_dot(a, b)
     hi = None if span is None else lo + span
     assert reference(pa.extract(lo, hi)) == ref_extract(a, lo, hi)
-    assert pa(x) == ref_eval(a, x)
     assert all(pa.coeff(d) == a.get(d, 0) for d in range(14))
     assert list(pa.items()) == sorted(a.items())
     assert str(pa) == ref_str(a)
@@ -368,7 +355,7 @@ member_weights = st.one_of(
 def assert_built_as(dist, pmf):
     """``dist`` is the distribution ``pmf``, stored canonically."""
     assert dist.pmf == pmf
-    assert (dist.den, dict(dist.numerators)) == pmf.scaled()
+    assert (dist.den, dict(dist.numerators)) == (pmf.den, pmf.numerators)
     twin = VoteDistribution(pmf)
     assert twin == dist and hash(twin) == hash(dist)
 
@@ -382,7 +369,7 @@ def member(w, cast):
 def test_team_builder_is_the_fraction_route(weights, p, L):
     follow = enum_product([member(w, p) for w in weights])
     defy = enum_product([member(w, 1 - p) for w in weights])
-    assert_built_as(team_structure(weights, p, L), L * follow + (1 - L) * defy)
+    assert_built_as(team_structure(weights, p, L), mixture(L, follow, defy))
     assert team_structure(weights, p, L) == team_structure(weights, 1 - p, 1 - L)
 
 
@@ -391,7 +378,7 @@ def test_team_builder_is_the_fraction_route(weights, p, L):
 def test_uniform_team_builder_is_the_fraction_route(n, p, L):
     follow = enum_product([member(1, p)] * n)
     defy = enum_product([member(1, 1 - p)] * n)
-    assert_built_as(uniform_team_structure(n, p, L), L * follow + (1 - L) * defy)
+    assert_built_as(uniform_team_structure(n, p, L), mixture(L, follow, defy))
 
 
 @deterministic

@@ -31,6 +31,10 @@ F = Fraction
 HALF = F(1, 2)
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("a grid point was evaluated")
+
+
 class TestGridValues:
     def test_exact_spacing(self):
         values = grid_values(0, 1, 21)
@@ -174,9 +178,6 @@ class TestSweep:
 
     def test_grid_over_the_series_cap_raises_before_any_point(self, monkeypatch):
         # 1,001 x 1,000 points, each axis within the cap, one CSV row each.
-        def unreachable(*args, **kwargs):
-            raise AssertionError("a grid point was evaluated")
-
         # The package's ``sweep`` attribute is the function, so reach the
         # module through sys.modules.
         monkeypatch.setattr(sys.modules["votepower.sweep"], "generalized_banzhaf", unreachable)
@@ -186,6 +187,17 @@ class TestSweep:
             SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 1000)),
         ]
         with pytest.raises(CapacityError, match="1001000 grid points"):
+            sweep(game, axes)
+
+    def test_repeated_parameter_raises_before_any_point(self, monkeypatch):
+        # A second axis on A.p would overwrite the first at every point.
+        monkeypatch.setattr(sys.modules["votepower.sweep"], "generalized_banzhaf", unreachable)
+        game = preset_game("paper-eq25")
+        axes = [
+            SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 3)),
+            SweepAxis(ParamRef("A", "p"), grid_values("1/4", "3/4", 2)),
+        ]
+        with pytest.raises(InputError, match="A.p is given more than once"):
             sweep(game, axes)
 
 
@@ -275,6 +287,12 @@ class TestSensitivity:
         game = preset_game("paper-eq25", p="3/10")
         with pytest.raises(InputError):
             sensitivity(game, [ParamRef("A", "p")], point={"B.p": "1/2"})
+
+    def test_repeated_parameter_rejected_before_any_evaluation(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["votepower.sweep"], "generalized_banzhaf", unreachable)
+        game = preset_game("senate-113")
+        with pytest.raises(InputError, match="Dem.p is given more than once"):
+            sensitivity(game, [ParamRef("Dem", "p"), ParamRef("Rep", "p"), ParamRef("Dem", "p")])
 
 
 class TestStructureSeries:
