@@ -140,6 +140,35 @@ class TestExtract:
         assert sum(c * tail.coeff(z) for z, c in undecided.items()) == F(5, 16)
 
 
+def value(p: RationalPoly, x: Fraction) -> Fraction:
+    return sum((c * x**d for d, c in p.items()), F(0))
+
+
+class TestCoefficients:
+    def test_probabilities_sum_to_one(self):
+        for pmf in (
+            half_structure(4),
+            half_structure(3) * half_structure(2) * half_structure(1),
+            RationalPoly({0: F(1, 4), 1: F(3, 4)}) ** 5,
+        ):
+            assert sum(c for _, c in pmf.items()) == 1
+            assert sum(pmf.numerators.values()) == pmf.den
+
+    def test_constant_term(self):
+        p = RationalPoly({0: F(3, 7), 2: F(4, 7)})
+        assert p.coeff(0) == F(3, 7)
+        assert p.coeff(1) == 0
+        assert p.coeff(5) == 0
+        assert ZERO.coeff(0) == 0
+
+    def test_values_multiply(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            p, q = random_poly(rng), random_poly(rng)
+            x = F(rng.randint(-5, 5), rng.randint(1, 5))
+            assert value(p * q, x) == value(p, x) * value(q, x)
+
+
 class TestRepresentation:
     def test_zero_coefficients_are_dropped(self):
         p = RationalPoly({0: 0, 3: F(1, 2), 5: F(0)})
