@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError
-from .model import Game, load_game
+from .model import Game, format_value, load_game
 from .oracle import joint_distribution_enum, influence_first_principles, monte_carlo_influence
 from .power import (
     ENUMERATION_CAP,
@@ -30,7 +30,7 @@ from .power import (
     influence_polynomial,
 )
 from .presets import COHESION_ASSIGNMENTS, DEFAULT_COHESION, PRESETS, preset_doc
-from .sweep import ParamRef, SweepAxis, grid_values, sensitivity, structure_series, sweep
+from .sweep import ParamRef, SweepAxis, csv_text, grid_values, sensitivity, structure_series, sweep
 from .poly import ONE
 
 EXIT_OK = 0
@@ -38,10 +38,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_CAPACITY = 4
 EXIT_VERIFY = 5
-
-
-def _decimal(value, precision: int) -> str:
-    return format(float(value), f".{precision}g")
 
 
 def _load_game_from_args(args) -> Game:
@@ -84,9 +80,9 @@ def cmd_power(args) -> int:
             {
                 "name": name,
                 "influence": str(report.influences[name]),
-                "influence_decimal": _decimal(report.influences[name], args.precision),
+                "influence_decimal": format_value(report.influences[name], args.precision),
                 "power": str(report.powers[name]),
-                "power_decimal": _decimal(report.powers[name], args.precision),
+                "power_decimal": format_value(report.powers[name], args.precision),
             }
             for name in game.names()
         ],
@@ -102,7 +98,7 @@ def cmd_banzhaf(args) -> int:
         "weights": args.weights,
         "marginal_counts": list(report.marginal_counts),
         "powers": [str(p) for p in report.powers],
-        "powers_decimal": [_decimal(p, args.precision) for p in report.powers],
+        "powers_decimal": [format_value(p, args.precision) for p in report.powers],
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -122,7 +118,7 @@ def cmd_influence_poly(args) -> int:
             {
                 "degree": degree,
                 "coefficient": str(coeff),
-                "coefficient_decimal": _decimal(coeff, args.precision),
+                "coefficient_decimal": format_value(coeff, args.precision),
             }
             for degree, coeff in ipoly.items()
         ],
@@ -164,7 +160,7 @@ def cmd_sensitivity(args) -> int:
         "h": str(report.step),
         "point": {key: str(value) for key, value in report.point},
         "partials": [
-            {"power": name, "param": key, "value": _decimal(slope, args.precision)}
+            {"power": name, "param": key, "value": format_value(slope, args.precision)}
             for name, key, slope in report.partials
         ],
     }
@@ -173,27 +169,21 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_series(args) -> int:
-    import csv
-    import io
-
     game = _load_game_from_args(args)
     player = game.player(args.player)
     pmf, infl = structure_series(
         player.structure, game.quota, strict=args.strict_influence
     )
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["degree", "pmf", "influence"])
+    rows = [["degree", "pmf", "influence"]]
     for degree in range(max(len(pmf), len(infl))):
         row = [degree]
         for series in (pmf, infl):
             if degree < len(series):
-                value = series[degree]
-                row.append(str(value) if args.exact else _decimal(value, args.precision))
+                row.append(format_value(series[degree], args.precision, args.exact))
             else:
                 row.append("")
-        writer.writerow(row)
-    _emit(args, out.getvalue())
+        rows.append(row)
+    _emit(args, csv_text(rows))
     return EXIT_OK
 
 
@@ -232,7 +222,7 @@ def cmd_verify(args) -> int:
         se = max(est.std_error, 0.5 / args.trials)
         check(
             abs(est.mean - float(exact)) <= 3 * se,
-            f"monte carlo {player.name}: estimate {_decimal(est.mean, args.precision)} "
+            f"monte carlo {player.name}: estimate {format_value(est.mean, args.precision)} "
             f"within 3 standard errors of {exact} ({args.trials} trials, seed {args.seed})",
         )
 

@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, Mapping, Sequence, Union
 
-from .errors import GameValidationError, InputError
+from .errors import GameValidationError, InputError, as_count
 from .poly import RationalPoly, int_product
 
 ProbabilityLike = Union[Fraction, int, str]
@@ -56,9 +56,12 @@ def as_probability(value: ProbabilityLike, where: str = "probability") -> Fracti
     return p
 
 
-def _check_weight(votes: int, where: str = "votes") -> None:
-    if not isinstance(votes, int) or votes < 1:
-        raise GameValidationError(f"{where} must be a positive integer, got {votes!r}")
+def format_value(value: Union[Fraction, float], precision: int, exact: bool = False) -> str:
+    """One value as it is printed: the fraction itself (num/den) when
+    ``exact``, else ``precision`` significant digits."""
+    if exact:
+        return str(value)
+    return format(float(value), f".{precision}g")
 
 
 @dataclass(frozen=True, repr=False)
@@ -126,7 +129,7 @@ class VoteDistribution:
 
 def bernoulli_structure(votes: int, p: ProbabilityLike) -> VoteDistribution:
     """Casts all ``votes`` votes with probability p, none otherwise."""
-    _check_weight(votes)
+    as_count(votes, "votes", GameValidationError)
     p = as_probability(p, "p")
     a, b = p.numerator, p.denominator
     return VoteDistribution.from_integers({0: b - a, votes: a}, b)
@@ -147,10 +150,7 @@ def pmf_structure(entries: Iterable[tuple[int, ProbabilityLike]]) -> VoteDistrib
     least common multiple of their denominators."""
     coeffs: dict[int, Fraction] = {}
     for votes, raw in entries:
-        if not isinstance(votes, int) or votes < 0:
-            raise GameValidationError(
-                f"vote counts must be non-negative integers, got {votes!r}"
-            )
+        as_count(votes, "vote count", GameValidationError, least=0)
         if votes in coeffs:
             raise GameValidationError(f"duplicate entry for {votes} votes")
         coeffs[votes] = as_probability(raw, f"probability of {votes} votes")
@@ -188,7 +188,7 @@ def team_structure(
     if not weights:
         raise GameValidationError("a team needs at least one member")
     for w in weights:
-        _check_weight(w, "member weight")
+        as_count(w, "member weight", GameValidationError)
     p = as_probability(p, "p")
     L = as_probability(L, "L")
     a, b = p.numerator, p.denominator
@@ -209,8 +209,7 @@ def uniform_team_structure(
     n: int, p: ProbabilityLike, L: ProbabilityLike
 ) -> VoteDistribution:
     """Team of ``n`` members holding one vote each."""
-    if not isinstance(n, int) or n < 1:
-        raise GameValidationError(f"team size must be a positive integer, got {n!r}")
+    as_count(n, "team size", GameValidationError)
     return team_structure((1,) * n, p, L)
 
 
@@ -296,10 +295,7 @@ class Game:
     players: tuple[Player, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.quota, int) or self.quota < 1:
-            raise GameValidationError(
-                f"quota must be a positive integer, got {self.quota!r}"
-            )
+        as_count(self.quota, "quota", GameValidationError)
         if not self.players:
             raise GameValidationError("a game needs at least one player")
         counts = Counter(p.name for p in self.players)
@@ -436,9 +432,7 @@ def load_game(doc) -> Game:
     extras = sorted(set(doc) - {"quota", "players"})
     if extras:
         raise GameValidationError(f"unexpected top-level fields {extras}")
-    quota = doc.get("quota")
-    if not isinstance(quota, int) or isinstance(quota, bool) or quota < 1:
-        raise GameValidationError("quota: must be a positive integer")
+    quota = as_count(doc.get("quota"), "quota", GameValidationError)
     raw_players = doc.get("players")
     if not isinstance(raw_players, list) or not raw_players:
         raise GameValidationError("players: must be a non-empty array")

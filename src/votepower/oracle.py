@@ -17,7 +17,7 @@ from itertools import accumulate, product
 from random import Random
 from typing import Sequence
 
-from .errors import CapacityError, InputError
+from .errors import CapacityError, as_count
 from .model import Game, VoteDistribution
 from .poly import RationalPoly
 from .power import ENUMERATION_CAP, BanzhafReport
@@ -117,8 +117,7 @@ def monte_carlo_influence(game: Game, who: str, trials: int, seed: int) -> McEst
     value instead of also simulating the focal player keeps the variance
     down.
     """
-    if not isinstance(trials, int) or trials < 1:
-        raise InputError(f"trials must be a positive integer, got {trials!r}")
+    as_count(trials, "trials")
     focal = game.player(who)
 
     # Cumulative sampling thresholds are float-rounded; the sampled values

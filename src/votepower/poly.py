@@ -27,6 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
+from .errors import as_count
+
 Coefficient = Union[Fraction, int, str]
 
 
@@ -121,10 +123,7 @@ class RationalPoly:
         cleaned: dict[int, Fraction] = {}
         if coeffs:
             for degree, raw in coeffs.items():
-                if not isinstance(degree, int) or degree < 0:
-                    raise ValueError(
-                        f"degrees must be non-negative integers, got {degree!r}"
-                    )
+                as_count(degree, "degree", ValueError, least=0)
                 value = _exact(raw)
                 if value:
                     cleaned[degree] = value
@@ -139,8 +138,7 @@ class RationalPoly:
         """The polynomial with coefficient numerators[d] / den at each degree d,
         for a positive ``den``.  Zero entries are dropped and one gcd pass
         reduces the pair to its canonical form."""
-        if not isinstance(den, int) or den < 1:
-            raise ValueError(f"the denominator must be a positive integer, got {den!r}")
+        as_count(den, "the denominator", ValueError)
         common = gcd(den, *numerators.values())
         poly = cls.__new__(cls)
         poly.den = den // common
@@ -189,8 +187,7 @@ class RationalPoly:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> RationalPoly:
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative integer, got {exponent!r}")
+        as_count(exponent, "exponent", ValueError, least=0)
         if not exponent:
             return ONE
         # Square up to the lowest set bit and start the result there, so no

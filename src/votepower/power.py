@@ -26,7 +26,7 @@ from functools import reduce
 from math import prod
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, DegenerateGameError, InputError
+from .errors import CapacityError, DegenerateGameError, InputError, as_count
 from .model import Game, VoteDistribution
 from .poly import RationalPoly, int_product
 
@@ -78,11 +78,9 @@ def classic_banzhaf(
     weights = tuple(weights)
     if not weights:
         raise InputError("at least one weight is required")
-    if not isinstance(quota, int) or quota < 1:
-        raise InputError(f"quota must be a positive integer, got {quota!r}")
+    as_count(quota, "quota")
     for w in weights:
-        if not isinstance(w, int) or w < 1:
-            raise InputError(f"weights must be positive integers, got {w!r}")
+        as_count(w, "weight")
     n = len(weights)
     if n > cap:
         raise CapacityError(
@@ -157,8 +155,7 @@ def influence_polynomial(
     definition to the vote counts below the quota only, so v_0 = 0 and such a
     player has zero influence.
     """
-    if not isinstance(quota, int) or quota < 1:
-        raise InputError(f"quota must be a positive integer, got {quota!r}")
+    as_count(quota, "quota")
     return RationalPoly.from_integers(dict(_undecided(dist, quota, strict)), dist.den)
 
 

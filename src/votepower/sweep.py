@@ -15,10 +15,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import CapacityError, DegenerateGameError, InputError
-from .model import HALF, PARAMETERS, Game, ProbabilityLike, VoteDistribution, as_probability
+from .errors import CapacityError, DegenerateGameError, InputError, as_count
+from .model import (
+    HALF,
+    PARAMETERS,
+    Game,
+    ProbabilityLike,
+    VoteDistribution,
+    as_probability,
+    format_value,
+)
 from .power import SERIES_CAP, PowerReport, generalized_banzhaf, influence_polynomial
 
 
@@ -72,8 +80,7 @@ def grid_values(
     """
     lo = as_probability(start, "grid start")
     hi = as_probability(stop, "grid stop")
-    if not isinstance(steps, int) or steps < 1:
-        raise InputError(f"steps must be a positive integer, got {steps!r}")
+    as_count(steps, "steps")
     if steps > SERIES_CAP:
         raise CapacityError(f"a grid of {steps} steps exceeds the series cap of {SERIES_CAP}")
     if steps == 1:
@@ -122,28 +129,27 @@ class SweepGrid:
     def to_csv(self, precision: int = 6, exact: bool = False) -> str:
         """Render the grid as CSV: axis columns, then one power column per
         player.  Degenerate cells leave the power fields empty."""
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
         header = [f"{axis.param.field}_{axis.param.player}" for axis in self.axes]
         header += [f"beta_{name}" for name in self.player_names]
-        writer.writerow(header)
+        rows = [header]
         for values, cell in self.points():
-            row = [_format_value(v, precision, exact) for v in values]
+            row = [format_value(v, precision, exact) for v in values]
             if cell is None:
                 row += [""] * len(self.player_names)
             else:
                 row += [
-                    _format_value(cell.powers[name], precision, exact)
+                    format_value(cell.powers[name], precision, exact)
                     for name in self.player_names
                 ]
-            writer.writerow(row)
-        return out.getvalue()
+            rows.append(row)
+        return csv_text(rows)
 
 
-def _format_value(value: Fraction, precision: int, exact: bool) -> str:
-    if exact:
-        return str(value)
-    return format(float(value), f".{precision}g")
+def csv_text(rows: Iterable[Sequence]) -> str:
+    """The rows as CSV text, one line each."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def _check_distinct(params: Sequence[ParamRef]) -> None:
@@ -304,8 +310,7 @@ def structure_series(
     0..quota-1), ready to plot or dump as CSV.  Raises CapacityError when
     either would run past ``SERIES_CAP`` degrees, before building either.
     """
-    if not isinstance(quota, int) or quota < 1:
-        raise InputError(f"quota must be a positive integer, got {quota!r}")
+    as_count(quota, "quota")
     length = max(dist.max_votes + 1, quota)
     if length > SERIES_CAP:
         raise CapacityError(
