@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from decimal import Decimal
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, floor, lcm, log10
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GameValidationError, InputError, as_count
@@ -58,10 +59,49 @@ def as_probability(value: ProbabilityLike, where: str = "probability") -> Fracti
 
 def format_value(value: Union[Fraction, float], precision: int, exact: bool = False) -> str:
     """One value as it is printed: the fraction itself (num/den) when
-    ``exact``, else ``precision`` significant digits."""
+    ``exact``, else ``precision`` significant digits.
+
+    The digits are the exact value's, rounded half to even in integers, so
+    a float prints as ``format(value, f".{precision}g")`` does and a
+    fraction prints its own digits however small or long it is.  They are
+    laid out as that format lays them out: fixed point for decimal
+    exponents from -4 to precision - 1, else one digit, the rest, and a
+    signed exponent of at least two digits; trailing zeros are dropped.
+    """
     if exact:
         return str(value)
-    return format(float(value), f".{precision}g")
+    value = Fraction(value)
+    if not value:
+        return "0"
+    num, den = abs(value.numerator), value.denominator
+    # The decimal exponent from the bit lengths is off by at most one, and
+    # the loop corrects it before any digit is kept.
+    exponent = floor((num.bit_length() - den.bit_length()) * log10(2))
+    while True:
+        shift = precision - 1 - exponent
+        scale = den * 10 ** max(-shift, 0)
+        digits, rest = divmod(num * 10 ** max(shift, 0), scale)
+        if digits >= 10**precision:
+            exponent += 1
+        elif digits < 10 ** (precision - 1):
+            exponent -= 1
+        else:
+            break
+    if 2 * rest > scale or (2 * rest == scale and digits & 1):
+        digits += 1
+        if digits == 10**precision:
+            digits //= 10
+            exponent += 1
+    # str(Decimal(n)) is exact like str(n), without int-to-str's length limit.
+    text = str(Decimal(digits)).rstrip("0")
+    sign = "-" if value < 0 else ""
+    if not -4 <= exponent < precision:
+        mantissa = text[0] + ("." + text[1:] if text[1:] else "")
+        return f"{sign}{mantissa}e{exponent:+03d}"
+    if exponent < 0:
+        return f"{sign}0.{'0' * (-exponent - 1)}{text}"
+    whole, fraction = text[: exponent + 1].ljust(exponent + 1, "0"), text[exponent + 1:]
+    return f"{sign}{whole}.{fraction}" if fraction else f"{sign}{whole}"
 
 
 @dataclass(frozen=True, repr=False)

@@ -423,6 +423,25 @@ class TestPresetDoc:
             preset_doc(name)
 
 
+class TestDecimals:
+    def test_digits_past_a_double_are_the_values_own(self, capsys):
+        payload = run_json(capsys, "power", "--preset", "paper-eq25", "--precision", "30")
+        decimals = {p["name"]: p["power_decimal"] for p in payload["players"]}
+        assert decimals["A"] == "0.416666666666666666666666666667"
+
+    def test_an_influence_below_the_double_range_is_not_zero(self, capsys, tmp_path):
+        # P0 tips the vote only when the other 119 all cast, so its influence
+        # is (1/1000)^119 * min(1/1000, 999/1000) = 10^-360.
+        player = {"kind": "bernoulli", "votes": 1, "p": "1/1000"}
+        doc = {"quota": 120, "players": [{"name": f"P{i}", "structure": player} for i in range(120)]}
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(doc))
+        payload = run_json(capsys, "power", "--game", str(path))
+        first = payload["players"][0]
+        assert first["influence"] == f"1/{10**360}"
+        assert first["influence_decimal"] == "1e-360"
+
+
 class TestExitCodes:
     def test_unknown_preset(self, capsys):
         # argparse rejects bad --preset choices itself, also with code 2.

@@ -1,12 +1,19 @@
 """The library's edge rules, each stated once: what counts as a count, and
 how a value is printed."""
 
+import math
+import random
+import re
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from fractions import Fraction
+
 import pytest
 
 from votepower.errors import GameValidationError, InputError
 from votepower.model import (
     Game,
     Player,
+    format_value,
     StructureSpec,
     bernoulli_structure,
     load_game,
@@ -52,3 +59,61 @@ def test_a_bool_is_not_a_count(entry):
     with pytest.raises(ValueError, match=message) as excinfo:
         call()
     assert type(excinfo.value) is error
+
+
+def rounded(value: Fraction, precision: int) -> Fraction:
+    """Reference: the value rounded half to even to ``precision`` significant
+    digits by decimal division, which is correctly rounded."""
+    context = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return Fraction(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+def random_fraction(rng: random.Random) -> Fraction:
+    """A signed fraction of small, large or very long numerator and denominator;
+    past 14,000 bits int-to-str conversion refuses either."""
+    sizes = [(8, 8), (60, 90), (200, 20), (14_500, 14_500), (100, 14_600), (14_600, 100)]
+    num_bits, den_bits = rng.choice(sizes)
+    sign = rng.choice((-1, 1))
+    return Fraction(sign * rng.getrandbits(num_bits), rng.getrandbits(den_bits) | 1)
+
+
+def carries_and_ties():
+    yield Fraction("9.9999996"), 7, "10"
+    yield Fraction("0.000099999999"), 3, "0.0001"
+    yield Fraction("9.5"), 1, "1e+01"
+    yield Fraction("2.5"), 1, "2"
+    yield Fraction("-3.5"), 1, "-4"
+    yield Fraction(5, 12), 30, "0.416666666666666666666666666667"
+    yield Fraction(1, 10**360), 6, "1e-360"
+    yield Fraction(-123456789, 1), 3, "-1.23e+08"
+    yield Fraction(0), 6, "0"
+
+
+# float's own ".Ng" layout: fixed point for exponents from -4 to N - 1, else
+# one digit, the rest, and a signed exponent of at least two digits.
+FIXED = re.compile(r"-?(0|[1-9]\d*)(\.\d*[1-9])?")
+SCIENTIFIC = re.compile(r"-?[1-9](\.\d*[1-9])?e([+-]\d{2,})")
+
+
+@pytest.mark.parametrize("precision", range(1, 41))
+def test_format_value_is_the_exact_value_rounded(precision):
+    rng = random.Random(precision)
+    values = [random_fraction(rng) for _ in range(40)]
+    for value in values:
+        text = format_value(value, precision)
+        assert Fraction(text) == rounded(value, precision)
+        assert len(re.sub(r"e.*|[-.]", "", text).strip("0")) <= precision
+        if SCIENTIFIC.fullmatch(text):
+            assert not -4 <= int(text.partition("e")[2]) < precision, text
+        else:
+            assert FIXED.fullmatch(text), text
+            magnitude = abs(Fraction(text))
+            assert magnitude == 0 or Fraction(1, 10**4) <= magnitude < 10**precision, text
+    for _ in range(40):
+        # Normal and subnormal doubles of either sign, never zero.
+        mantissa = rng.choice((-1, 1)) * (rng.getrandbits(52) | 1 << 52)
+        double = math.ldexp(mantissa, rng.randint(-1126, 970))
+        assert format_value(double, precision) == format(double, f".{precision}g")
+    for value, digits, text in carries_and_ties():
+        if digits == precision:
+            assert format_value(value, precision) == text
