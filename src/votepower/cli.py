@@ -44,7 +44,10 @@ def _load_game_from_args(args) -> Game:
     if (args.game is None) == (args.preset is None):
         raise InputError("exactly one of --game or --preset is required")
     if args.game is not None:
-        doc = json.loads(Path(args.game).read_text())
+        try:
+            doc = json.loads(Path(args.game).read_text())
+        except RecursionError as exc:
+            raise InputError(f"{args.game}: the document is nested too deeply to parse") from exc
     else:
         doc = preset_doc(
             args.preset,

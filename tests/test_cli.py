@@ -460,6 +460,15 @@ class TestExitCodes:
         code, _ = run(capsys, "power", "--game", str(path))
         assert code == 2
 
+    def test_deeply_nested_game_file(self, capsys, tmp_path):
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 200_000)
+        code = main(["power", "--game", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: the document is nested too deeply to parse\n"
+
     def test_game_and_preset_together(self, capsys, tmp_path):
         path = tmp_path / "game.json"
         path.write_text(json.dumps(preset_doc("paper-6-4321-random")))
