@@ -14,7 +14,8 @@ engines read as stored.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
-would round.
+would round.  ``as_probability`` reads an exact value and ``format_value``
+prints one.
 """
 
 from __future__ import annotations
