@@ -87,6 +87,8 @@ def carries_and_ties():
     yield Fraction(1, 10**360), 6, "1e-360"
     yield Fraction(-123456789, 1), 3, "-1.23e+08"
     yield Fraction(0), 6, "0"
+    # More digits than int-to-str conversion allows by default.
+    yield Fraction(-1, 3), 5000, "-0." + "3" * 5000
 
 
 # float's own ".Ng" layout: fixed point for exponents from -4 to N - 1, else
@@ -95,19 +97,19 @@ FIXED = re.compile(r"-?(0|[1-9]\d*)(\.\d*[1-9])?")
 SCIENTIFIC = re.compile(r"-?[1-9](\.\d*[1-9])?e([+-]\d{2,})")
 
 
-@pytest.mark.parametrize("precision", range(1, 41))
+@pytest.mark.parametrize("precision", [*range(1, 41), 5000])
 def test_format_value_is_the_exact_value_rounded(precision):
     rng = random.Random(precision)
     values = [random_fraction(rng) for _ in range(40)]
     for value in values:
         text = format_value(value, precision)
-        assert Fraction(text) == rounded(value, precision)
+        assert Fraction(Decimal(text)) == rounded(value, precision)
         assert len(re.sub(r"e.*|[-.]", "", text).strip("0")) <= precision
         if SCIENTIFIC.fullmatch(text):
             assert not -4 <= int(text.partition("e")[2]) < precision, text
         else:
             assert FIXED.fullmatch(text), text
-            magnitude = abs(Fraction(text))
+            magnitude = abs(Fraction(Decimal(text)))
             assert magnitude == 0 or Fraction(1, 10**4) <= magnitude < 10**precision, text
     for _ in range(40):
         # Normal and subnormal doubles of either sign, never zero.
