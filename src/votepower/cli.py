@@ -29,7 +29,7 @@ from .power import (
     influence,
     influence_polynomial,
 )
-from .presets import COHESION_ASSIGNMENTS, DEFAULT_COHESION, PRESETS, preset_doc
+from .presets import COHESION_ASSIGNMENTS, DEFAULT_COHESION, PRESET_OPTIONS, PRESETS, preset_doc
 from .sweep import ParamRef, SweepAxis, csv_text, grid_values, sensitivity, structure_series, sweep
 from .poly import ONE
 
@@ -49,16 +49,7 @@ def _load_game_from_args(args) -> Game:
         except RecursionError as exc:
             raise InputError(f"{args.game}: the document is nested too deeply to parse") from exc
     else:
-        doc = preset_doc(
-            args.preset,
-            p=args.p,
-            L=args.L,
-            LD=args.LD,
-            LR=args.LR,
-            pD=args.pD,
-            pR=args.pR,
-            cohesion=args.cohesion,
-        )
+        doc = preset_doc(args.preset, **{name: getattr(args, name) for name in PRESET_OPTIONS})
     return load_game(doc)
 
 

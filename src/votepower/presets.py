@@ -8,6 +8,8 @@ party cohesion values as options.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import InputError
 from .model import Game, load_game
 
@@ -34,17 +36,16 @@ def _uniform_team(name: str, n: int, p: str, L: str) -> dict:
     return {"name": name, "structure": {"kind": "uniform_team", "n": n, "p": p, "L": L}}
 
 
+# The [6; 4, 3, 2, 1] players, by slot.
+_SLOTS_6_4321 = (("A", 4), ("B", 3), ("C", 2), ("D", 1))
+
+
 def _game_6_4321(slot: int = 0, player: dict | None = None) -> dict:
     """[6; 4, 3, 2, 1] with everyone fifty-fifty, or ``player`` in ``slot``."""
-    players = [_random("A", 4), _random("B", 3), _random("C", 2), _random("D", 1)]
+    players = [_random(name, votes) for name, votes in _SLOTS_6_4321]
     if player is not None:
         players[slot] = player
     return {"quota": 6, "players": players}
-
-
-def paper_6_4321_random() -> dict:
-    """The [6; 4, 3, 2, 1] game with every player voting fifty-fifty."""
-    return _game_6_4321()
 
 
 def paper_sec32() -> dict:
@@ -56,24 +57,10 @@ def paper_sec32() -> dict:
     return _game_6_4321(0, {"name": "A", "structure": structure})
 
 
-def paper_eq25(p: str = "1/2") -> dict:
-    """[6; 4, 3, 2, 1] with A all-or-nothing at probability p."""
-    return _game_6_4321(0, _bernoulli("A", 4, p))
-
-
-def paper_eq26(p: str = "1/2") -> dict:
-    """[6; 4, 3, 2, 1] with B all-or-nothing at probability p."""
-    return _game_6_4321(1, _bernoulli("B", 3, p))
-
-
-def paper_eq27(p: str = "1/2") -> dict:
-    """[6; 4, 3, 2, 1] with C all-or-nothing at probability p."""
-    return _game_6_4321(2, _bernoulli("C", 2, p))
-
-
-def paper_eq28(p: str = "1/2") -> dict:
-    """[6; 4, 3, 2, 1] with D all-or-nothing at probability p."""
-    return _game_6_4321(3, _bernoulli("D", 1, p))
+def _all_or_nothing(slot: int, p: str = "1/2") -> dict:
+    """[6; 4, 3, 2, 1] with the player in ``slot`` all-or-nothing at
+    probability p: eq. 25 for A, 26 for B, 27 for C and 28 for D."""
+    return _game_6_4321(slot, _bernoulli(*_SLOTS_6_4321[slot], p))
 
 
 def paper_eq31(p: str = "1/2", L: str = "1/2") -> dict:
@@ -117,12 +104,12 @@ def senate_113(
 
 # Each preset's builder and the options it takes.
 _BUILDERS = {
-    "paper-6-4321-random": (paper_6_4321_random, ()),
+    "paper-6-4321-random": (_game_6_4321, ()),
     "paper-sec32": (paper_sec32, ()),
-    "paper-eq25": (paper_eq25, ("p",)),
-    "paper-eq26": (paper_eq26, ("p",)),
-    "paper-eq27": (paper_eq27, ("p",)),
-    "paper-eq28": (paper_eq28, ("p",)),
+    "paper-eq25": (partial(_all_or_nothing, 0), ("p",)),
+    "paper-eq26": (partial(_all_or_nothing, 1), ("p",)),
+    "paper-eq27": (partial(_all_or_nothing, 2), ("p",)),
+    "paper-eq28": (partial(_all_or_nothing, 3), ("p",)),
     "paper-eq31": (paper_eq31, ("p", "L")),
     "paper-eq32": (paper_eq32, ("p", "L")),
     "senate-113": (senate_113, ("LD", "LR", "pD", "pR", "cohesion")),
@@ -130,12 +117,15 @@ _BUILDERS = {
 
 PRESETS = tuple(_BUILDERS)
 
+# Every option some preset takes, in first-listed order.
+PRESET_OPTIONS = tuple(dict.fromkeys(o for _, allowed in _BUILDERS.values() for o in allowed))
+
 
 def preset_doc(name: str, **options) -> dict:
     """Game description document for a named preset.
 
-    Options (p, L, LD, LR, pD, pR, cohesion) are passed to the preset
-    builder; options the preset does not take are rejected.
+    Options (``PRESET_OPTIONS``) are passed to the preset builder; options
+    the preset does not take are rejected.
     """
     if name not in PRESETS:
         raise InputError(f"unknown preset {name!r} (available: {', '.join(PRESETS)})")
