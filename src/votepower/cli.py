@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError
-from .model import Game, format_value, load_game
+from .model import Game, exact_text, format_value, load_game
 from .oracle import joint_distribution_enum, influence_first_principles, monte_carlo_influence
 from .power import (
     ENUMERATION_CAP,
@@ -73,9 +73,9 @@ def cmd_power(args) -> int:
         "players": [
             {
                 "name": name,
-                "influence": str(report.influences[name]),
+                "influence": exact_text(report.influences[name]),
                 "influence_decimal": format_value(report.influences[name], args.precision),
-                "power": str(report.powers[name]),
+                "power": exact_text(report.powers[name]),
                 "power_decimal": format_value(report.powers[name], args.precision),
             }
             for name in game.names()
@@ -91,7 +91,7 @@ def cmd_banzhaf(args) -> int:
         "quota": args.quota,
         "weights": args.weights,
         "marginal_counts": list(report.marginal_counts),
-        "powers": [str(p) for p in report.powers],
+        "powers": [exact_text(p) for p in report.powers],
         "powers_decimal": [format_value(p, args.precision) for p in report.powers],
     }
     _emit_json(args, payload)
@@ -107,11 +107,11 @@ def cmd_influence_poly(args) -> int:
     payload = {
         "player": player.name,
         "quota": game.quota,
-        "influence": str(influence(game, player.name, strict=args.strict_influence)),
+        "influence": exact_text(influence(game, player.name, strict=args.strict_influence)),
         "terms": [
             {
                 "degree": degree,
-                "coefficient": str(coeff),
+                "coefficient": exact_text(coeff),
                 "coefficient_decimal": format_value(coeff, args.precision),
             }
             for degree, coeff in ipoly.items()
@@ -151,8 +151,8 @@ def cmd_sensitivity(args) -> int:
             raise InputError("this game has no tunable parameters; pass --param")
     report = sensitivity(game, params, h=args.h, strict=args.strict_influence)
     payload = {
-        "h": str(report.step),
-        "point": {key: str(value) for key, value in report.point},
+        "h": exact_text(report.step),
+        "point": {key: exact_text(value) for key, value in report.point},
         "partials": [
             {"power": name, "param": key, "value": format_value(slope, args.precision)}
             for name, key, slope in report.partials
@@ -205,7 +205,10 @@ def cmd_verify(args) -> int:
     for player in game.players:
         exact = influences[player.name]
         first = influence_first_principles(game, player.name)
-        check(first == exact, f"influence {player.name}: first principles equal the polynomial route ({exact})")
+        check(
+            first == exact,
+            f"influence {player.name}: first principles equal the polynomial route ({exact_text(exact)})",
+        )
 
     for player in game.players:
         exact = influences[player.name]
@@ -217,7 +220,7 @@ def cmd_verify(args) -> int:
         check(
             abs(est.mean - float(exact)) <= 3 * se,
             f"monte carlo {player.name}: estimate {format_value(est.mean, args.precision)} "
-            f"within 3 standard errors of {exact} ({args.trials} trials, seed {args.seed})",
+            f"within 3 standard errors of {exact_text(exact)} ({args.trials} trials, seed {args.seed})",
         )
 
     _emit(args, "\n".join(lines) + "\n")

@@ -14,8 +14,8 @@ engines read as stored.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
-would round.  ``as_probability`` reads an exact value and ``format_value``
-prints one.
+would round.  ``as_probability`` reads an exact value, and ``exact_text``
+and ``format_value`` print one.
 """
 
 from __future__ import annotations
@@ -58,6 +58,14 @@ def as_probability(value: ProbabilityLike, where: str = "probability") -> Fracti
     return p
 
 
+def exact_text(value: Fraction) -> str:
+    """``str(value)`` for a fraction (num/den, or the integer when den is 1),
+    of any length: ``str(Decimal(n))`` equals ``str(n)`` for every int and
+    has no int-to-str digit limit."""
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
+
+
 def format_value(value: Union[Fraction, float], precision: int, exact: bool = False) -> str:
     """One value as it is printed: the fraction itself (num/den) when
     ``exact``, else ``precision`` significant digits.
@@ -70,7 +78,7 @@ def format_value(value: Union[Fraction, float], precision: int, exact: bool = Fa
     signed exponent of at least two digits; trailing zeros are dropped.
     """
     if exact:
-        return str(value)
+        return exact_text(value)
     value = Fraction(value)
     if not value:
         return "0"
@@ -435,10 +443,10 @@ def _as_is(value):
 _CODECS = {
     "votes": (_json_int, _as_is),
     "n": (_json_int, _as_is),
-    "p": (_json_probability, str),
-    "L": (_json_probability, str),
+    "p": (_json_probability, exact_text),
+    "L": (_json_probability, exact_text),
     "weights": (_json_weights, list),
-    "entries": (_json_entries, lambda entries: [[v, str(q)] for v, q in entries]),
+    "entries": (_json_entries, lambda entries: [[v, exact_text(q)] for v, q in entries]),
 }
 
 

@@ -4,6 +4,7 @@ import json
 import time
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,9 @@ import pytest
 import votepower.power
 from votepower.cli import main
 from votepower.errors import InputError
+from votepower.model import load_game
 from votepower.power import generalized_banzhaf
-from votepower.presets import preset_doc
+from votepower.presets import COHESION_ASSIGNMENTS, PRESET_OPTIONS, preset_doc
 
 F = Fraction
 
@@ -422,6 +424,17 @@ class TestPresetDoc:
         with pytest.raises(InputError, match="unknown preset"):
             preset_doc(name)
 
+    @pytest.mark.parametrize("p", [None, "1/3"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_all_or_nothing_presets_replace_one_player(self, slot, p):
+        # paper-eq25 to paper-eq28 make A, B, C or D all-or-nothing at p.
+        expected = preset_doc("paper-6-4321-random")
+        expected["players"][slot]["structure"] = {
+            "kind": "bernoulli", "votes": 4 - slot, "p": p or "1/2",
+        }
+        doc = preset_doc(f"paper-eq{25 + slot}", p=p)
+        assert json.dumps(doc) == json.dumps(expected)
+
 
 class TestDecimals:
     def test_digits_past_a_double_are_the_values_own(self, capsys):
@@ -440,6 +453,43 @@ class TestDecimals:
         first = payload["players"][0]
         assert first["influence"] == f"1/{10**360}"
         assert first["influence_decimal"] == "1e-360"
+
+
+def tiny_probability_game(tmp_path):
+    """Two all-or-nothing voters at p = 10^-2500 with quota 2.  Each tips the
+    vote only when the other casts, so each influence is p * min(p, 1 - p) =
+    10^-5000, whose 5,001-digit denominator is past int-to-str's default
+    limit of 4,300 digits."""
+    player = {"kind": "bernoulli", "votes": 1, "p": "1/1" + "0" * 2500}
+    doc = {"quota": 2, "players": [{"name": name, "structure": player} for name in "AB"]}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    return doc, str(path)
+
+
+class TestExactText:
+    def test_exact_fields_print_the_whole_fraction(self, capsys, tmp_path):
+        doc, path = tiny_probability_game(tmp_path)
+        influences = generalized_banzhaf(load_game(doc)).influences
+        payload = run_json(capsys, "power", "--game", path)
+        for player in payload["players"]:
+            num, den = player["influence"].split("/")
+            assert len(den) == 5001
+            exact = influences[player["name"]]
+            assert (Decimal(num), Decimal(den)) == (exact.numerator, exact.denominator)
+            assert player["influence_decimal"] == "1e-5000"
+            assert player["power"] == "1/2"
+
+    @pytest.mark.parametrize("argv", [
+        ["influence-poly", "--player", "A"],
+        ["verify", "--trials", "100"],
+    ])
+    def test_every_exact_printer_takes_long_values(self, capsys, tmp_path, argv):
+        _, path = tiny_probability_game(tmp_path)
+        code = main([*argv, "--game", path])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert "0" * 2500 in captured.out
 
 
 class TestExitCodes:
@@ -509,6 +559,16 @@ class TestExitCodes:
     def test_preset_rejects_foreign_options(self, capsys):
         code, _ = run(capsys, "power", "--preset", "paper-6-4321-random", "--p", "1/2")
         assert code == 2
+
+    @pytest.mark.parametrize("name", PRESET_OPTIONS)
+    def test_every_preset_option_reaches_the_preset(self, capsys, name):
+        value = sorted(COHESION_ASSIGNMENTS)[0] if name == "cohesion" else "1/2"
+        code = main(["power", "--preset", "paper-6-4321-random", f"--{name}", value])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: preset 'paper-6-4321-random' does not take options ['{name}']\n"
+        )
 
     def test_bad_precision(self, capsys):
         code, _ = run(capsys, "power", "--preset", "paper-6-4321-random", "--precision", "0")

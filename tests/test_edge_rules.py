@@ -13,6 +13,7 @@ from votepower.errors import GameValidationError, InputError
 from votepower.model import (
     Game,
     Player,
+    exact_text,
     format_value,
     StructureSpec,
     bernoulli_structure,
@@ -119,3 +120,29 @@ def test_format_value_is_the_exact_value_rounded(precision):
     for value, digits, text in carries_and_ties():
         if digits == precision:
             assert format_value(value, precision) == text
+
+
+def test_exact_text_is_str_without_a_length_limit():
+    # random_fraction's longest integers are past int-to-str's limit.
+    rng = random.Random(0)
+    for value in [Fraction(0), Fraction(-7), Fraction(3, 4)] + [random_fraction(rng) for _ in range(60)]:
+        text = exact_text(value)
+        num, _, den = text.partition("/")
+        assert (Decimal(num), Decimal(den or "1")) == (value.numerator, value.denominator)
+        assert format_value(value, 6, exact=True) == text
+        if max(value.numerator.bit_length(), value.denominator.bit_length()) < 14_000:
+            assert text == str(value)
+
+
+def test_to_doc_writes_probabilities_of_any_length():
+    p = Fraction(1, 10**5000)
+    specs = {
+        "A": StructureSpec("bernoulli", votes=1, p=p),
+        "B": StructureSpec("pmf", entries=((0, 1 - p), (1, p))),
+        "C": StructureSpec("team", weights=(1, 1), p=p, L=p),
+    }
+    doc = Game(2, tuple(Player.from_spec(name, spec) for name, spec in specs.items())).to_doc()
+    a, b, c = (player["structure"] for player in doc["players"])
+    den = "1" + "0" * 5000
+    assert a["p"] == c["p"] == c["L"] == b["entries"][1][1] == "1/" + den
+    assert b["entries"][0][1] == "9" * 5000 + "/" + den
