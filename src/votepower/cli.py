@@ -6,7 +6,8 @@ CSV for grid-shaped output.  All output is byte-identical across runs with
 the same inputs and seed.
 
 Exit codes: 0 success, 2 input error, 3 degenerate game, 4 capacity
-exceeded, 5 verification failure.
+exceeded (``--precision`` above ``MAX_PRECISION`` among others), 5
+verification failure.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 EXIT_CAPACITY = 4
 EXIT_VERIFY = 5
+
+# The most significant digits a decimal field may ask for.  Digits cost time
+# super-linear in their count (about 3 ms a value at this bound), and
+# exact fields and --exact print every digit anyway.
+MAX_PRECISION = 10**4
 
 
 def _load_game_from_args(args) -> Game:
@@ -320,8 +326,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "precision", 1) < 1:
+        precision = getattr(args, "precision", 1)
+        if precision < 1:
             raise InputError("precision must be at least 1")
+        if precision > MAX_PRECISION:
+            raise CapacityError(f"precision must be at most {MAX_PRECISION} digits")
         return args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,10 @@ and ``format_value`` print one.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from decimal import Decimal
+from decimal import MAX_EMAX, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import comb, floor, lcm, log10
 from typing import Iterable, Mapping, Sequence, Union
@@ -50,12 +51,30 @@ def as_probability(value: ProbabilityLike, where: str = "probability") -> Fracti
         )
     else:
         try:
-            p = Fraction(value)
+            p = _parse_rational(value)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: cannot parse {value!r} as a rational number") from exc
     if not 0 <= p.numerator <= p.denominator:
-        raise InputError(f"{where}: {p} is outside [0, 1]")
+        raise InputError(f"{where}: {exact_text(p)} is outside [0, 1]")
     return p
+
+
+# An integer or num/den in ASCII digits, the form ``exact_text`` writes.
+_DIGITS = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(value) -> Fraction:
+    """``Fraction(value)``, and for ``digits`` or ``digits/digits`` past the
+    4,300 digits at which ``Fraction(str)`` stops, the same value read
+    through ``Decimal``, which has no such limit."""
+    try:
+        return Fraction(value)
+    except ValueError:
+        match = _DIGITS.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
 
 
 def exact_text(value: Fraction) -> str:
@@ -70,39 +89,31 @@ def format_value(value: Union[Fraction, float], precision: int, exact: bool = Fa
     """One value as it is printed: the fraction itself (num/den) when
     ``exact``, else ``precision`` significant digits.
 
-    The digits are the exact value's, rounded half to even in integers, so
-    a float prints as ``format(value, f".{precision}g")`` does and a
-    fraction prints its own digits however small or long it is.  They are
+    The digits are the exact value's, rounded half to even, so a float
+    prints as ``format(value, f".{precision}g")`` does and a fraction prints
+    its own digits however small or long it is.  One integer division keeps
+    at least precision + 1 digits and marks a nonzero remainder with one
+    more digit, and a ``decimal`` context rounds those digits.  They are
     laid out as that format lays them out: fixed point for decimal
     exponents from -4 to precision - 1, else one digit, the rest, and a
     signed exponent of at least two digits; trailing zeros are dropped.
+    ``precision`` must be a positive integer (``InputError`` otherwise).
     """
     if exact:
         return exact_text(value)
+    as_count(precision, "precision")
     value = Fraction(value)
     if not value:
         return "0"
     num, den = abs(value.numerator), value.denominator
-    # The decimal exponent from the bit lengths is off by at most one, and
-    # the loop corrects it before any digit is kept.
-    exponent = floor((num.bit_length() - den.bit_length()) * log10(2))
-    while True:
-        shift = precision - 1 - exponent
-        scale = den * 10 ** max(-shift, 0)
-        digits, rest = divmod(num * 10 ** max(shift, 0), scale)
-        if digits >= 10**precision:
-            exponent += 1
-        elif digits < 10 ** (precision - 1):
-            exponent -= 1
-        else:
-            break
-    if 2 * rest > scale or (2 * rest == scale and digits & 1):
-        digits += 1
-        if digits == 10**precision:
-            digits //= 10
-            exponent += 1
-    # str(Decimal(n)) is exact like str(n), without int-to-str's length limit.
-    text = str(Decimal(digits)).rstrip("0")
+    # The bit lengths put the decimal exponent within one of its true value,
+    # so the quotient has precision + 1 to precision + 3 digits.
+    shift = precision + 1 - floor((num.bit_length() - den.bit_length()) * log10(2))
+    digits, rest = divmod(num * 10 ** max(shift, 0), den * 10 ** max(-shift, 0))
+    context = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX)
+    rounded = context.create_decimal(10 * digits + bool(rest))
+    exponent = rounded.adjusted() - shift - 1
+    text = "".join(map(str, rounded.as_tuple().digits)).rstrip("0")
     sign = "-" if value < 0 else ""
     if not -4 <= exponent < precision:
         mantissa = text[0] + ("." + text[1:] if text[1:] else "")

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import votepower.power
-from votepower.cli import main
+from votepower.cli import MAX_PRECISION, main
 from votepower.errors import InputError
 from votepower.model import load_game
 from votepower.power import generalized_banzhaf
@@ -453,6 +453,19 @@ class TestDecimals:
         first = payload["players"][0]
         assert first["influence"] == f"1/{10**360}"
         assert first["influence_decimal"] == "1e-360"
+
+    def test_precision_up_to_its_bound(self, capsys):
+        payload = run_json(capsys, "power", "--preset", "paper-eq25", "--precision", str(MAX_PRECISION))
+        decimals = {p["name"]: p["power_decimal"] for p in payload["players"]}
+        assert decimals["A"] == "0.41" + "6" * (MAX_PRECISION - 3) + "7"
+
+    def test_precision_past_its_bound_exits_4_before_the_game_is_read(self, capsys, tmp_path):
+        # A missing game file would exit 2 if it were read.
+        for source in (["--preset", "paper-eq25"], ["--game", str(tmp_path / "missing.json")]):
+            code = main(["power", *source, "--precision", str(MAX_PRECISION + 1)])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (4, "")
+            assert captured.err == f"error: precision must be at most {MAX_PRECISION} digits\n"
 
 
 def tiny_probability_game(tmp_path):

@@ -4,6 +4,8 @@ how a value is printed."""
 import math
 import random
 import re
+import signal
+from contextlib import contextmanager
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from votepower.errors import GameValidationError, InputError
 from votepower.model import (
     Game,
     Player,
+    as_probability,
     exact_text,
     format_value,
     StructureSpec,
@@ -26,7 +29,7 @@ from votepower.model import (
 from votepower.oracle import monte_carlo_influence
 from votepower.poly import ONE, RationalPoly
 from votepower.power import classic_banzhaf, influence_polynomial
-from votepower.sweep import grid_values, structure_series
+from votepower.sweep import ParamRef, SweepAxis, grid_values, structure_series, sweep
 
 PLAYERS = (Player.from_spec("A", StructureSpec("random", votes=1)),)
 GAME = Game(1, PLAYERS)
@@ -50,6 +53,7 @@ BOOL_COUNTS = {
     "degree": (lambda: RationalPoly({True: 1}), ValueError),
     "denominator": (lambda: RationalPoly.from_integers({0: 1}, True), ValueError),
     "exponent": (lambda: ONE ** False, ValueError),
+    "precision": (lambda: format_value(Fraction(1, 3), True), InputError),
 }
 
 
@@ -67,6 +71,27 @@ def rounded(value: Fraction, precision: int) -> Fraction:
     digits by decimal division, which is correctly rounded."""
     context = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
     return Fraction(context.divide(Decimal(value.numerator), Decimal(value.denominator)))
+
+
+def printed_exponent(text: str) -> int:
+    """The decimal exponent of a printed nonzero value, read from its text."""
+    mantissa, _, exponent = text.lstrip("-").partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    if exponent:
+        return int(exponent)
+    if whole != "0":
+        return len(whole) - 1
+    return len(fraction.lstrip("0")) - len(fraction) - 1
+
+
+def rounded_half_even(value: Fraction, precision: int, text: str) -> bool:
+    """A second reference, in Fraction arithmetic and free of decimal's
+    rounding: the printed value lies within half a unit of its last kept
+    digit from the exact value, and on an exact tie that digit is even."""
+    printed = Fraction(Decimal(text))
+    unit = Fraction(10) ** (printed_exponent(text) - precision + 1) if printed else 1
+    error = abs(value - printed)
+    return error < unit / 2 or (error == unit / 2 and printed / unit % 2 == 0)
 
 
 def random_fraction(rng: random.Random) -> Fraction:
@@ -105,6 +130,7 @@ def test_format_value_is_the_exact_value_rounded(precision):
     for value in values:
         text = format_value(value, precision)
         assert Fraction(Decimal(text)) == rounded(value, precision)
+        assert rounded_half_even(value, precision, text), text
         assert len(re.sub(r"e.*|[-.]", "", text).strip("0")) <= precision
         if SCIENTIFIC.fullmatch(text):
             assert not -4 <= int(text.partition("e")[2]) < precision, text
@@ -120,6 +146,39 @@ def test_format_value_is_the_exact_value_rounded(precision):
     for value, digits, text in carries_and_ties():
         if digits == precision:
             assert format_value(value, precision) == text
+            assert rounded_half_even(value, precision, text), text
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Raise TimeoutError in the block after ``seconds``, so a call that
+    loops forever fails the test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("precision", [0, -1])
+def test_a_precision_below_one_is_refused(precision):
+    message = rf"precision must be a positive integer, got {precision}$"
+    grid = sweep(
+        Game(1, (Player.from_spec("A", StructureSpec("bernoulli", votes=1, p=Fraction(1, 2))),)),
+        [SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 3))],
+    )
+    with time_limit(5):
+        with pytest.raises(InputError, match=message):
+            format_value(Fraction(1, 3), precision)
+        with pytest.raises(InputError, match=message):
+            grid.to_csv(precision=precision)
+    # The exact text never reads the precision.
+    assert format_value(Fraction(1, 3), precision, exact=True) == "1/3"
 
 
 def test_exact_text_is_str_without_a_length_limit():
@@ -141,8 +200,12 @@ def test_to_doc_writes_probabilities_of_any_length():
         "B": StructureSpec("pmf", entries=((0, 1 - p), (1, p))),
         "C": StructureSpec("team", weights=(1, 1), p=p, L=p),
     }
-    doc = Game(2, tuple(Player.from_spec(name, spec) for name, spec in specs.items())).to_doc()
+    game = Game(2, tuple(Player.from_spec(name, spec) for name, spec in specs.items()))
+    doc = game.to_doc()
     a, b, c = (player["structure"] for player in doc["players"])
     den = "1" + "0" * 5000
     assert a["p"] == c["p"] == c["L"] == b["entries"][1][1] == "1/" + den
     assert b["entries"][0][1] == "9" * 5000 + "/" + den
+    assert load_game(doc) == game
+    with pytest.raises(InputError, match=r"^probability: 20{4999} is outside \[0, 1\]$"):
+        as_probability("2" + "0" * 4999)
