@@ -10,21 +10,21 @@ arbitrary voting structures and reduces exactly to the classic index when
 every player votes all-or-nothing with probability one half;
 ``losing_tail`` and ``influence_polynomial`` expose its two factors.
 
-The route works on integers: it reads each vote distribution's integer
-numerators over its own denominator as stored, products of distributions
-go through ``poly.int_product`` cut below the quota, and the undecided
-fractions min(v_Z, 1 - v_Z) come from one integer running sum over the
-window of thresholds the player can still tip.  Fractions are formed only
-at the end.
+The route works on integers.  Every product, of the stored numerators of
+vote distributions or of the counting polynomial, is one running product
+``_chain`` on ``poly.int_product`` cut below the quota: n - 1 products for
+one player's losing tail.  The undecided fractions min(v_Z, 1 - v_Z) are one
+integer running sum over the player's window; fractions come only at the end.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from itertools import accumulate
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import CapacityError, DegenerateGameError, InputError, as_count
 from .model import Game, VoteDistribution
@@ -70,7 +70,7 @@ def classic_banzhaf(
     marginal).
 
     No coalition is visited.  The counting polynomial prod(1 + x^w_j), cut
-    below the quota, takes n - 1 products on the integer engine.  Dividing
+    below the quota, is one ``_chain`` on the integer engine.  Dividing
     player i's factor 1 + x^w_i back out gives the others' coalition counts
     by weight, rest[z] = full[z] - rest[z - w_i], and the player swings the
     coalitions of weight quota - w_i to quota - 1.
@@ -89,10 +89,9 @@ def classic_banzhaf(
         )
 
     # full[z] counts the coalitions of weight z, for the losing weights z < quota.
-    factors = [{0: 1, w: 1} for w in weights]
-    full = reduce(lambda acc, f: int_product(acc, f, quota - 1), factors[1:], factors[0])
+    full = deque(_chain([{0: 1, w: 1} for w in weights], quota - 1), maxlen=1)[0]
     # Sorted: the engine's sparse branch returns degrees out of order.
-    degrees = sorted(z for z in full if z < quota)
+    degrees = sorted(full)
     counts = []
     for w in weights:
         # Divide 1 + x^w out of full, lowest degree first; exact over the
@@ -103,6 +102,12 @@ def classic_banzhaf(
             rest[z] = full[z] - rest.get(z - w, 0)
         counts.append(2 * sum(rest[z] for z in degrees if z >= quota - w))
     return BanzhafReport.from_counts(counts)
+
+
+def _chain(factors: Sequence[Mapping[int, int]], top: int) -> Iterator[Mapping[int, int]]:
+    """1, then the running products of ``factors``, each cut above ``top``;
+    lazy, so a caller that keeps only the last holds one at a time."""
+    return accumulate(factors, lambda acc, f: int_product(acc, f, top), initial={0: 1})
 
 
 def _undecided(dist: VoteDistribution, quota: int, strict: bool) -> Iterator[tuple[int, int]]:
@@ -126,15 +131,13 @@ def _undecided(dist: VoteDistribution, quota: int, strict: bool) -> Iterator[tup
 def losing_tail(game: Game, excluded: str) -> RationalPoly:
     """Distribution of the other players' vote total, truncated below quota.
 
-    The coefficient of x^Z is the probability that the players other than
-    ``excluded`` jointly cast Z votes, kept only for Z < quota: the
-    coalitions the excluded player could still tip.
+    The coefficient of x^Z, for the Z < quota that ``excluded`` could still
+    tip, is the probability that the other players jointly cast Z votes:
+    one ``_chain`` of their numerators, n - 1 products for n players.
     """
     game.player(excluded)  # raises InputError for unknown names
     others = [p.structure for p in game.players if p.name != excluded]
-    tail = reduce(
-        lambda acc, dist: int_product(acc, dist.numerators, game.quota - 1), others, {0: 1}
-    )
+    tail = deque(_chain([dist.numerators for dist in others], game.quota - 1), maxlen=1)[0]
     return RationalPoly.from_integers(tail, prod(dist.den for dist in others))
 
 
@@ -161,10 +164,11 @@ def influence_polynomial(
 
 def influence(game: Game, who: str, strict: bool = False) -> Fraction:
     """Expected decisiveness of one player, as ``generalized_banzhaf``
-    reports it; defined also where every influence is zero."""
-    game.player(who)  # raises InputError for unknown names
-    den, dots = _influences(game, strict)
-    return Fraction(dots[who], den)
+    reports it; defined also where every influence is zero.  It is the
+    player's ``losing_tail``, n - 1 products, dotted with their window."""
+    dist, tail = game.player(who).structure, losing_tail(game, who)
+    dot = sum(g * tail.numerators.get(z, 0) for z, g in _undecided(dist, game.quota, strict))
+    return Fraction(dot, dist.den * tail.den)
 
 
 @dataclass(frozen=True)
@@ -178,27 +182,22 @@ class PowerReport:
 
 def _influences(game: Game, strict: bool) -> tuple[int, dict[str, int]]:
     """The product of all the denominators, and every player's influence
-    as an integer over it.  Player i's losing tail is the product of the
-    prefix of players before i and the suffix after i, both truncated below
-    the quota, so the n tails cost about 3n products.  Each influence is one
+    as an integer over it.  Player i's losing tail is the prefix chain of
+    the players before i times the suffix chain after i, all cut below the
+    quota, so the n tails cost 3n - 2 products.  Each influence is one
     integer dot product of the tail with the player's streamed window.
     """
     quota = game.quota
-    pmfs = [p.structure.pmf for p in game.players]
+    dists = [p.structure for p in game.players]
     # prefix[i] is the product over the players before i, suffix[i] over those after i.
-    prefix = [{0: 1}]
-    for pmf in pmfs[:-1]:
-        prefix.append(int_product(prefix[-1], pmf.numerators, quota - 1))
-    suffix = [{0: 1}]
-    for pmf in reversed(pmfs[1:]):
-        suffix.append(int_product(suffix[-1], pmf.numerators, quota - 1))
-    suffix.reverse()
+    prefix = _chain([dist.numerators for dist in dists[:-1]], quota - 1)
+    suffix = list(_chain([dist.numerators for dist in dists[:0:-1]], quota - 1))[::-1]
     dots = {}
     for player, before, after in zip(game.players, prefix, suffix):
         tail = int_product(before, after, quota - 1)
         window = _undecided(player.structure, quota, strict)
         dots[player.name] = sum(gamma * tail.get(z, 0) for z, gamma in window)
-    return prod(pmf.den for pmf in pmfs), dots
+    return prod(dist.den for dist in dists), dots
 
 
 def generalized_banzhaf(game: Game, strict: bool = False) -> PowerReport:

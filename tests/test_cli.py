@@ -13,7 +13,8 @@ import votepower.power
 from votepower.cli import MAX_PRECISION, main
 from votepower.errors import InputError
 from votepower.model import load_game
-from votepower.power import generalized_banzhaf
+from votepower.oracle import McEstimate
+from votepower.power import generalized_banzhaf, influence
 from votepower.presets import COHESION_ASSIGNMENTS, PRESET_OPTIONS, preset_doc
 
 F = Fraction
@@ -368,6 +369,23 @@ class TestVerifyCommand:
         )
         assert code == 5
         assert f"FAIL monte carlo {player}:" in out
+
+    @pytest.mark.parametrize("gap, code", [(1.4, 0), (2, 5)])
+    def test_a_sample_without_spread_is_held_to_the_floor(self, capsys, monkeypatch, gap, code):
+        # A standard error of 0 falls back to the floor 1/(2N), so the check
+        # allows a gap of 3/(2N): 1.4/N passes and 2/N fails.  A floor of 1/N
+        # would pass both.
+        def flat(game, who, trials, seed):
+            return McEstimate(float(influence(game, who)) + gap / trials, 0.0, trials, seed)
+
+        monkeypatch.setattr("votepower.cli.monte_carlo_influence", flat)
+        got, out = run(
+            capsys,
+            "verify", "--preset", "paper-6-4321-random", "--trials", "1000", "--seed", "0",
+        )
+        assert got == code
+        verdicts = {line.split()[0] for line in out.splitlines() if "monte carlo" in line}
+        assert verdicts == {"PASS" if code == 0 else "FAIL"}
 
     def test_one_engine_pass_serves_every_influence(self, capsys, monkeypatch):
         calls = []

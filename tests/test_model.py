@@ -449,18 +449,20 @@ class TestLoadGame:
 
 class TestGame:
     def test_improper_game_is_flagged_not_rejected(self):
-        game = load_game(
-            {
-                "quota": 2,
-                "players": [
-                    {"name": "B", "structure": {"kind": "random", "votes": 3}},
-                    {"name": "C", "structure": {"kind": "random", "votes": 2}},
-                    {"name": "D", "structure": {"kind": "random", "votes": 1}},
-                ],
-            }
-        )
-        assert not game.is_proper
-        assert game.total_max_votes == 6
+        # Quota 3 is exactly half the 6 votes: both sides can reach it.
+        for quota in (2, 3):
+            game = load_game(
+                {
+                    "quota": quota,
+                    "players": [
+                        {"name": "B", "structure": {"kind": "random", "votes": 3}},
+                        {"name": "C", "structure": {"kind": "random", "votes": 2}},
+                        {"name": "D", "structure": {"kind": "random", "votes": 1}},
+                    ],
+                }
+            )
+            assert not game.is_proper
+            assert game.total_max_votes == 6
 
     def test_unknown_player_lookup(self):
         game = load_game(doc_6_4321())

@@ -152,6 +152,16 @@ class TestMonteCarloInfluence:
         achievable = {float(gamma.coeff(z)) for z in range(11)}
         assert est.mean in achievable
 
+    def test_two_trials_take_the_sample_variance(self):
+        # Dividing by N - 1, two scores g1 and g2 have standard error
+        # |g1 - g2| / 2; dividing by N would give |g1 - g2| / (2 sqrt 2).
+        game = preset_game("paper-6-4321-random")
+        first = monte_carlo_influence(game, "A", trials=1, seed=1).mean
+        both = monte_carlo_influence(game, "A", trials=2, seed=1)
+        second = 2 * both.mean - first
+        assert first != second
+        assert both.std_error == pytest.approx(abs(first - second) / 2, rel=1e-12)
+
     def test_deterministic_given_seed(self):
         game = preset_game("paper-6-4321-random")
         first = monte_carlo_influence(game, "B", trials=5000, seed=42)

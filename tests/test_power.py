@@ -9,6 +9,7 @@ from itertools import permutations
 import pytest
 
 from conftest import enum_product, random_distribution
+from votepower import power
 from votepower.errors import CapacityError, DegenerateGameError, InputError
 from votepower.model import (
     Game,
@@ -18,7 +19,7 @@ from votepower.model import (
     pmf_structure,
     random_structure,
 )
-from votepower.poly import ONE, ZERO, RationalPoly
+from votepower.poly import ONE, ZERO, RationalPoly, int_product
 from votepower.power import (
     classic_banzhaf,
     generalized_banzhaf,
@@ -253,6 +254,22 @@ class TestInfluence:
             )
             values.add(influence(Game(6, players), "me"))
         assert len(values) == 1
+
+    def test_one_player_reads_one_chain(self, monkeypatch):
+        # One player's tail is a chain over the other n - 1 players; building
+        # every player's tail from prefix and suffix chains takes 3n - 2.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return int_product(*args)
+
+        monkeypatch.setattr(power, "int_product", spy)
+        game = all_random_game(11, (6, 5, 4, 3, 2, 1))
+        for read in (influence, losing_tail):
+            calls.clear()
+            read(game, "P2")
+            assert len(calls) <= len(game.players) - 1
 
 
 class TestGeneralizedBanzhaf:

@@ -159,6 +159,9 @@ int_polys = st.one_of(
 @given(int_polys, int_polys)
 # Its middle coefficient, 2^15, fills the top bit of a two-byte slot.
 @example({0: 128, 1: 128}, {0: 128, 1: 128})
+# Its middle coefficient, -20000, has 15 bits: a two-byte slot read back
+# through an offset of half the slot, 2^15, and no less.
+@example({0: -100, 1: -100}, {0: 100, 1: 100})
 def test_int_product_is_the_enumerated_product_cut_at_every_degree(a, b):
     expanded = enum_product([RationalPoly(a), RationalPoly(b)])
     for top in range(max(a, default=0) + max(b, default=0) + 2):

@@ -279,6 +279,10 @@ class TestSensitivity:
         game = preset_game("paper-eq25", p="1/2")
         with pytest.raises(InputError, match="kink"):
             sensitivity(game, [ParamRef("A", "p")])
+        # 3h/4 from the kink, the difference still reaches across it.
+        inside = preset_game("paper-eq25", p="2003/4000")
+        with pytest.raises(InputError, match="kink"):
+            sensitivity(inside, [ParamRef("A", "p")], h=F(1, 1000))
         # Exactly h away from the kink is fine: the difference only touches it.
         near = preset_game("paper-eq25", p="501/1000")
         sensitivity(near, [ParamRef("A", "p")], h=F(1, 1000))
