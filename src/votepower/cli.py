@@ -60,7 +60,7 @@ def _load_game_from_args(args) -> Game:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
     else:
         print(text, end="" if text.endswith("\n") else "\n")
@@ -326,7 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        precision = getattr(args, "precision", 1)
+        precision = args.precision
         if precision < 1:
             raise InputError("precision must be at least 1")
         if precision > MAX_PRECISION:

@@ -267,7 +267,6 @@ def sensitivity(
 
     values: dict[str, Fraction] = {}
     for ref in params:
-        ref.check(game)
         values[ref.key] = ref.current(game)
     if point:
         for key, raw in point.items():

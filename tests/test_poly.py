@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import enum_product, random_poly
-from votepower.poly import ONE, ZERO, RationalPoly
+import votepower.poly
+from votepower.poly import ONE, ZERO, RationalPoly, int_product
 
 F = Fraction
 HALF = F(1, 2)
@@ -82,16 +83,40 @@ class TestMul:
         for removed in ("__add__", "dot", "__call__", "scaled"):
             assert not hasattr(p, removed)
 
+    def test_product_by_one_is_a_new_dict(self):
+        # top is at or above the other factor's degree, so nothing is cut.
+        other = {0: -3, 2: 5, 7: 2**70}
+        for a, b in (({0: 1}, other), (other, {0: 1})):
+            product = int_product(a, b, 7)
+            assert product == other and product is not other
+            product[0] = 11
+            assert other == {0: -3, 2: 5, 7: 2**70}
+
     def test_pow_matches_repeated_multiplication(self):
         p = RationalPoly({0: F(1, 4), 1: F(3, 4)})
         by_hand = ONE
-        for _ in range(7):
+        for k in range(41):
+            assert p**k == by_hand, k
             by_hand = by_hand * p
-        assert p**7 == by_hand
-        assert p**0 == ONE
-        assert p**1 == p
         with pytest.raises(ValueError):
             p ** (-1)
+
+    def test_pow_squares_and_multiplies(self, monkeypatch):
+        # k costs bit_length - 1 squarings and popcount - 1 multiplies; a
+        # product by the constant 1 is a copy and is not counted.
+        engine, calls = votepower.poly.int_product, []
+
+        def counted(a, b, top):
+            if a != {0: 1} and b != {0: 1}:
+                calls.append(top)
+            return engine(a, b, top)
+
+        monkeypatch.setattr(votepower.poly, "int_product", counted)
+        p = RationalPoly({0: F(1, 4), 1: F(3, 4)})
+        for k in range(1, 65):
+            calls.clear()
+            p**k
+            assert len(calls) == (k.bit_length() - 1) + (k.bit_count() - 1), k
 
 
 class TestExtract:

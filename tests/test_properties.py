@@ -162,6 +162,10 @@ int_polys = st.one_of(
 # Its middle coefficient, -20000, has 15 bits: a two-byte slot read back
 # through an offset of half the slot, 2^15, and no less.
 @example({0: -100, 1: -100}, {0: 100, 1: 100})
+# A factor of exactly 1 on either side: the other factor, signed, is cut at
+# every top from 0 to past its degree.
+@example({0: 1}, {0: -3, 2: 5, 5: -7, 9: 2**70})
+@example({0: -3, 2: 5, 5: -7, 9: 2**70}, {0: 1})
 def test_int_product_is_the_enumerated_product_cut_at_every_degree(a, b):
     expanded = enum_product([RationalPoly(a), RationalPoly(b)])
     for top in range(max(a, default=0) + max(b, default=0) + 2):
