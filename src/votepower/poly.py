@@ -36,20 +36,14 @@ def int_product(a: Mapping[int, int], b: Mapping[int, int], top: int) -> dict[in
     """Exact product of two integer polynomials, cut above degree ``top``.
 
     Both inputs map degree to a nonzero integer coefficient, of either sign;
-    terms above ``top`` are ignored.  The result is in the same form, and is
-    always a new dict.
+    terms above ``top`` are ignored.  The result is in the same form.
 
-    A factor that is exactly the constant 1, ``{0: 1}``, costs a copy of the
-    other factor cut above ``top``.  Other sparse inputs, whose term pairs
-    number no more than the output has degrees, are multiplied term by term.
-    Otherwise both are evaluated at x = 2^k, with k wide enough that no
-    product coefficient overflows its slot (Kronecker substitution),
-    multiplied as one integer, and the coefficients are read back from the
-    product's bytes.
+    Sparse inputs, whose term pairs number no more than the output has
+    degrees, are multiplied term by term.  Otherwise both are evaluated at
+    x = 2^k, with k wide enough that no product coefficient overflows its
+    slot (Kronecker substitution), multiplied as one integer, and the
+    coefficients are read back from the product's bytes.
     """
-    for one, other in ((a, b), (b, a)):
-        if one == {0: 1}:
-            return {d: c for d, c in other.items() if d <= top}
     a, b = _cut(a, top), _cut(b, top)
     if not a or not b:
         return {}

@@ -13,8 +13,7 @@ every player votes all-or-nothing with probability one half;
 The route works on integers.  Every product, of the stored numerators of
 vote distributions or of the counting polynomial, is one running product
 ``_chain`` on ``poly.int_product`` cut below the quota: n - 1 products for
-one player's losing tail, 3n - 2 for every player's, four of them by the
-constant 1 and so a copy.  The undecided fractions min(v_Z, 1 - v_Z) are one
+one player's losing tail.  The undecided fractions min(v_Z, 1 - v_Z) are one
 integer running sum over the player's window; fractions come only at the end.
 """
 
@@ -185,9 +184,8 @@ def _influences(game: Game, strict: bool) -> tuple[int, dict[str, int]]:
     """The product of all the denominators, and every player's influence
     as an integer over it.  Player i's losing tail is the prefix chain of
     the players before i times the suffix chain after i, all cut below the
-    quota, so the n tails cost 3n - 2 products.  Four are by the constant 1
-    and cost a copy: each chain's first step and the first and last tails.
-    Each influence is one integer dot of the tail with the streamed window.
+    quota, so the n tails cost 3n - 2 products.  Each influence is one
+    integer dot product of the tail with the player's streamed window.
     """
     quota = game.quota
     dists = [p.structure for p in game.players]

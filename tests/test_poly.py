@@ -102,8 +102,8 @@ class TestMul:
             p ** (-1)
 
     def test_pow_squares_and_multiplies(self, monkeypatch):
-        # k costs bit_length - 1 squarings and popcount - 1 multiplies; a
-        # product by the constant 1 is a copy and is not counted.
+        # k costs bit_length - 1 squarings and popcount - 1 multiplies; the
+        # first multiply, by ONE, is not counted.
         engine, calls = votepower.poly.int_product, []
 
         def counted(a, b, top):
