@@ -20,7 +20,7 @@ from math import prod
 from pathlib import Path
 from typing import Sequence
 
-from .errors import CapacityError, DegenerateGameError, InputError
+from .errors import CapacityError, DegenerateGameError, InputError, as_count
 from .model import Game, exact_text, format_value, load_game
 from .oracle import joint_distribution_enum, influence_first_principles, monte_carlo_influence
 from .power import (
@@ -326,10 +326,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        precision = args.precision
-        if precision < 1:
-            raise InputError("precision must be at least 1")
-        if precision > MAX_PRECISION:
+        if as_count(args.precision, "precision") > MAX_PRECISION:
             raise CapacityError(f"precision must be at most {MAX_PRECISION} digits")
         return args.handler(args)
     except CapacityError as exc:

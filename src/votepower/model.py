@@ -14,22 +14,22 @@ engines read as stored.
 
 Games are loaded from a small JSON schema.  Probabilities in documents must
 be strings ("0.94" or "47/50") so they stay exact; ordinary JSON numbers
-would round.  ``as_probability`` reads an exact value, and ``exact_text``
-and ``format_value`` print one.
+would round.  ``as_probability`` reads a probability with ``poly``'s
+``parse_rational`` and checks its range; ``poly``'s ``exact_text`` prints
+an exact value, and ``format_value`` prints one exactly or in decimal.
 """
 
 from __future__ import annotations
 
-import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from decimal import MAX_EMAX, ROUND_HALF_EVEN, Context, Decimal
+from decimal import MAX_EMAX, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from math import comb, floor, lcm, log10
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import GameValidationError, InputError, as_count
-from .poly import RationalPoly, int_product
+from .poly import RationalPoly, exact_text, int_product, parse_rational
 
 ProbabilityLike = Union[Fraction, int, str]
 
@@ -37,52 +37,21 @@ HALF = Fraction(1, 2)
 
 
 def as_probability(value: ProbabilityLike, where: str = "probability") -> Fraction:
-    """Coerce a string ("0.94" or "47/50"), int, or Fraction to an exact
+    """Read a string ("0.94" or "47/50"), int, or Fraction as an exact
     probability in [0, 1].
 
     A ``Fraction`` is returned as it is (it is immutable), so a value parsed
     once is never parsed again; the range is checked on its integers.
     """
-    if isinstance(value, Fraction):
-        p = value
-    elif isinstance(value, float):
-        raise InputError(
-            f"{where}: floats are not exact; write the value as a string"
-        )
-    else:
-        try:
-            p = _parse_rational(value)
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"{where}: cannot parse {value!r} as a rational number") from exc
+    try:
+        p = parse_rational(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        # A float's refusal says why; anything else could not be read.
+        reason = exc if isinstance(value, float) else f"cannot parse {value!r} as a rational number"
+        raise InputError(f"{where}: {reason}") from exc
     if not 0 <= p.numerator <= p.denominator:
         raise InputError(f"{where}: {exact_text(p)} is outside [0, 1]")
     return p
-
-
-# An integer or num/den in ASCII digits, the form ``exact_text`` writes.
-_DIGITS = re.compile(r"([0-9]+)(?:/([0-9]+))?")
-
-
-def _parse_rational(value) -> Fraction:
-    """``Fraction(value)``, and for ``digits`` or ``digits/digits`` past the
-    4,300 digits at which ``Fraction(str)`` stops, the same value read
-    through ``Decimal``, which has no such limit."""
-    try:
-        return Fraction(value)
-    except ValueError:
-        match = _DIGITS.fullmatch(value) if isinstance(value, str) else None
-        if match is None:
-            raise
-        num, den = match.groups()
-        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
-
-
-def exact_text(value: Fraction) -> str:
-    """``str(value)`` for a fraction (num/den, or the integer when den is 1),
-    of any length: ``str(Decimal(n))`` equals ``str(n)`` for every int and
-    has no int-to-str digit limit."""
-    num = str(Decimal(value.numerator))
-    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def format_value(value: Union[Fraction, float], precision: int, exact: bool = False) -> str:
@@ -145,11 +114,14 @@ class VoteDistribution:
         if negative:
             lowest = min(negative)
             raise GameValidationError(
-                f"negative probability {Fraction(terms[lowest], den)} for {lowest} votes"
+                f"negative probability {exact_text(Fraction(terms[lowest], den))} "
+                f"for {lowest} votes"
             )
         total = sum(terms.values())
         if total != den:
-            raise GameValidationError(f"probabilities sum to {Fraction(total, den)}, not 1")
+            raise GameValidationError(
+                f"probabilities sum to {exact_text(Fraction(total, den))}, not 1"
+            )
 
     @classmethod
     def from_integers(cls, numerators: Mapping[int, int], den: int) -> VoteDistribution:
@@ -408,9 +380,7 @@ class Game:
 
 
 def _json_int(value, where: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise GameValidationError(f"{where}: expected an integer, got {value!r}")
-    return value
+    return as_count(value, where, GameValidationError, least=0)
 
 
 def _json_probability(value, where: str) -> Fraction:
@@ -485,7 +455,9 @@ def _spec_from_json(obj, where: str) -> StructureSpec:
 def load_game(doc) -> Game:
     """Validate a game description document and build the Game.
 
-    Errors name the offending player and field path.
+    Errors name the offending player and field path.  ``Player.from_spec``
+    checks each player's name, and its errors get the player's path in
+    front, as the structure's errors do.
     """
     if not isinstance(doc, dict):
         raise GameValidationError("game document must be a JSON object")
@@ -506,8 +478,6 @@ def load_game(doc) -> Game:
         if extras:
             raise GameValidationError(f"{where}: unexpected fields {extras}")
         name = entry.get("name")
-        if not isinstance(name, str) or not name:
-            raise GameValidationError(f"{where}.name: must be a nonempty string")
         where = f"{where} ({name})"
         spec = _spec_from_json(entry.get("structure"), f"{where}.structure")
         try:

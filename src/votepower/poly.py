@@ -19,10 +19,15 @@ convolved and the result is put over the product of the denominators.  The
 engine cuts the product at a given degree, so callers that only need the
 low coefficients, such as the losing tails below a quota, never build the
 rest.
+
+Exact values enter and leave as text here too, once for the whole library:
+``parse_rational`` reads one and ``exact_text`` writes one, of any length.
 """
 
 from __future__ import annotations
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
@@ -30,6 +35,37 @@ from typing import Iterator, Mapping, Union
 from .errors import as_count
 
 Coefficient = Union[Fraction, int, str]
+
+# A signed integer or num/den in ASCII digits, the form ``exact_text`` writes.
+_DIGITS = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(value: Coefficient) -> Fraction:
+    """``value`` as an exact ``Fraction``: a Fraction as it is, anything else
+    through ``Fraction(value)``, and a ``digits`` or ``digits/digits`` string
+    (signed) past the 4,300 digits at which ``Fraction(str)`` stops through
+    ``Decimal``, which has no such limit.  A float is refused with
+    ``TypeError``: it is already rounded."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError("floats are not exact; write the value as a string")
+    try:
+        return Fraction(value)
+    except ValueError:
+        match = _DIGITS.fullmatch(value) if isinstance(value, str) else None
+        if match is None:
+            raise
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or "1")))
+
+
+def exact_text(value: Fraction) -> str:
+    """``str(value)`` for a fraction (num/den, or the integer when den is 1),
+    of any length: ``str(Decimal(n))`` equals ``str(n)`` for every int and
+    has no int-to-str digit limit."""
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
 def int_product(a: Mapping[int, int], b: Mapping[int, int], top: int) -> dict[int, int]:
@@ -98,15 +134,6 @@ def _evaluate(terms: Mapping[int, int], width: int) -> int:
     )
 
 
-def _exact(value: Coefficient) -> Fraction:
-    """Coerce to Fraction, refusing floats (they are already rounded)."""
-    if isinstance(value, float):
-        raise TypeError(
-            f"floats are not exact; pass {value!r} as a Fraction, int, or string"
-        )
-    return Fraction(value)
-
-
 class RationalPoly:
     """Immutable sparse polynomial with exact rational coefficients.
 
@@ -124,7 +151,7 @@ class RationalPoly:
         if coeffs:
             for degree, raw in coeffs.items():
                 as_count(degree, "degree", ValueError, least=0)
-                value = _exact(raw)
+                value = parse_rational(raw)
                 if value:
                     cleaned[degree] = value
         # Reduced fractions over their least common denominator are canonical.
@@ -209,21 +236,14 @@ class RationalPoly:
         return hash((self.den, frozenset(self.numerators.items())))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{d}: {c}" for d, c in self.items())
+        inner = ", ".join(f"{d}: {exact_text(c)}" for d, c in self.items())
         return f"RationalPoly({{{inner}}})"
 
     def __str__(self) -> str:
         if not self.numerators:
             return "0"
-        parts = []
-        for degree, value in self.items():
-            if degree == 0:
-                parts.append(str(value))
-            elif degree == 1:
-                parts.append(f"{value}*x")
-            else:
-                parts.append(f"{value}*x^{degree}")
-        return " + ".join(parts)
+        powers = {0: "", 1: "*x"}
+        return " + ".join(exact_text(c) + powers.get(d, f"*x^{d}") for d, c in self.items())
 
 
 ZERO = RationalPoly()

@@ -25,6 +25,7 @@ from .model import (
     ProbabilityLike,
     VoteDistribution,
     as_probability,
+    exact_text,
     format_value,
 )
 from .power import SERIES_CAP, PowerReport, generalized_banzhaf, influence_polynomial
@@ -117,6 +118,8 @@ class SweepGrid:
         for axis, i in zip(self.axes, indices):
             if i not in range(len(axis.values)):
                 raise InputError(f"index {i!r} is outside axis {axis.param.key}")
+            # A range holds True and 1.0 too, and neither is an index.
+            as_count(i, f"index on axis {axis.param.key}", least=0)
             flat = flat * len(axis.values) + i
         return self.cells[flat]
 
@@ -167,8 +170,9 @@ def sweep(game: Game, axes: Sequence[SweepAxis], strict: bool = False) -> SweepG
 
     Each point gets a fresh game with the axis values substituted.
     Degenerate points become empty cells rather than errors.  A repeated
-    parameter raises InputError, and a grid of more than ``SERIES_CAP``
-    points (one CSV row each) CapacityError, before any point is evaluated.
+    parameter or a grid value that is no probability raises InputError, and
+    a grid of more than ``SERIES_CAP`` points (one CSV row each)
+    CapacityError, before any point is evaluated.
     """
     axes = tuple(axes)
     if not 1 <= len(axes) <= 2:
@@ -182,8 +186,7 @@ def sweep(game: Game, axes: Sequence[SweepAxis], strict: bool = False) -> SweepG
     for axis in axes:
         axis.param.check(game)
         for value in axis.values:
-            if not 0 <= value <= 1:
-                raise InputError(f"{axis.param.key}: grid value {value} outside [0, 1]")
+            as_probability(value, f"{axis.param.key} grid value")
 
     cells = []
     fields = [(axis.param.player, axis.param.field) for axis in axes]
@@ -279,10 +282,12 @@ def sensitivity(
     for ref in params:
         x = values[ref.key]
         if x - h < 0 or x + h > 1:
-            raise InputError(f"{ref.key}: step {h} leaves [0, 1] from {x}")
+            raise InputError(
+                f"{ref.key}: step {exact_text(h)} leaves [0, 1] from {exact_text(x)}"
+            )
         if base.player(ref.player).spec.kind == "bernoulli" and abs(x - HALF) < h:
             raise InputError(
-                f"{ref.key}: the central difference at {x} straddles the kink "
+                f"{ref.key}: the central difference at {exact_text(x)} straddles the kink "
                 "at p = 1/2; evaluate that point directly instead"
             )
 

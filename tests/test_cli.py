@@ -602,8 +602,10 @@ class TestExitCodes:
         )
 
     def test_bad_precision(self, capsys):
-        code, _ = run(capsys, "power", "--preset", "paper-6-4321-random", "--precision", "0")
-        assert code == 2
+        code = main(["power", "--preset", "paper-6-4321-random", "--precision", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: precision must be a positive integer, got 0\n"
 
 
 class TestStrictInfluence:

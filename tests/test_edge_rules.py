@@ -1,20 +1,25 @@
 """The library's edge rules, each stated once: what counts as a count, and
-how a value is printed."""
+how an exact value is read and printed."""
 
+import io
+import json
 import math
 import random
 import re
 import signal
-from contextlib import contextmanager
+import tempfile
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
 
+from votepower.cli import main
 from votepower.errors import GameValidationError, InputError
 from votepower.model import (
     Game,
     Player,
+    VoteDistribution,
     as_probability,
     exact_text,
     format_value,
@@ -29,7 +34,14 @@ from votepower.model import (
 from votepower.oracle import monte_carlo_influence
 from votepower.poly import ONE, RationalPoly
 from votepower.power import classic_banzhaf, influence_polynomial
-from votepower.sweep import ParamRef, SweepAxis, grid_values, structure_series, sweep
+from votepower.sweep import (
+    ParamRef,
+    SweepAxis,
+    grid_values,
+    sensitivity,
+    structure_series,
+    sweep,
+)
 
 PLAYERS = (Player.from_spec("A", StructureSpec("random", votes=1)),)
 GAME = Game(1, PLAYERS)
@@ -64,6 +76,98 @@ def test_a_bool_is_not_a_count(entry):
     with pytest.raises(ValueError, match=message) as excinfo:
         call()
     assert type(excinfo.value) is error
+
+
+# Values with 5,000-digit parts, past the 4,300 digits at which int-to-str
+# conversion stops.  Their texts are built from strings, never printed
+# from ints, so the expected side cannot hit that limit.
+BIG = 10**5000
+HALF = Fraction(1, 2)
+TINY = Fraction(1, BIG)
+BIG_TEXT = "1" + "0" * 5000
+NINES = "9" * 5000
+HALF_PAST = "5" + "0" * 4998 + "1"  # the numerator of 1/2 + 1/10^5000
+LONG_PMF = RationalPoly({0: 1 - TINY, 1: TINY})
+LONG_PMF_REPR = f"RationalPoly({{0: {NINES}/{BIG_TEXT}, 1: 1/{BIG_TEXT}}})"
+BERNOULLI = Game(1, (Player.from_spec("A", StructureSpec("bernoulli", votes=1, p=HALF)),))
+# Two entries of 1/10^5000 sum to 1/(5 * 10^4999), not 1.
+OFF_SUM = {
+    "quota": 1,
+    "players": [
+        {
+            "name": "A",
+            "structure": {"kind": "pmf", "entries": [[0, f"1/{BIG_TEXT}"], [1, f"1/{BIG_TEXT}"]]},
+        }
+    ],
+}
+OFF_SUM_TEXT = "players[0] (A): probabilities sum to 1/5" + "0" * 4999 + ", not 1"
+
+
+def power_on_file(doc) -> tuple[int, str]:
+    """Exit code and stderr of ``votepower power --game`` on ``doc``."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as folder:
+        path = f"{folder}/game.json"
+        with open(path, "w") as out:
+            json.dump(doc, out)
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(["power", "--game", path])
+    return code, err.getvalue()
+
+
+# Every place that reads or prints an exact value, given one with
+# 5,000-digit parts, and its result; an exception instance means the call
+# raises exactly that type with exactly that message.
+LONG_VALUES = {
+    "poly from positive strings": (
+        lambda: RationalPoly({0: f"{NINES}/{BIG_TEXT}", 1: f"1/{BIG_TEXT}"}),
+        LONG_PMF,
+    ),
+    "poly from negative strings": (
+        lambda: RationalPoly({0: f"-1/{BIG_TEXT}", 1: f"-{BIG_TEXT}"}),
+        RationalPoly({0: -TINY, 1: -BIG}),
+    ),
+    "negative probability string": (
+        lambda: as_probability(f"-1/{BIG_TEXT}"),
+        InputError(f"probability: -1/{BIG_TEXT} is outside [0, 1]"),
+    ),
+    "poly repr": (lambda: repr(LONG_PMF), LONG_PMF_REPR),
+    "poly str": (lambda: str(LONG_PMF), f"{NINES}/{BIG_TEXT} + 1/{BIG_TEXT}*x"),
+    "distribution repr": (
+        lambda: repr(VoteDistribution(LONG_PMF)),
+        f"VoteDistribution({LONG_PMF_REPR})",
+    ),
+    "distribution str": (
+        lambda: str(VoteDistribution(LONG_PMF)),
+        f"VoteDistribution({LONG_PMF_REPR})",
+    ),
+    "pmf document off 1": (lambda: load_game(OFF_SUM), GameValidationError(OFF_SUM_TEXT)),
+    "negative probability": (
+        lambda: VoteDistribution.from_integers({0: BIG + 1, 1: -1}, BIG),
+        GameValidationError(f"negative probability -1/{BIG_TEXT} for 1 votes"),
+    ),
+    "sweep grid value": (
+        lambda: sweep(BERNOULLI, [SweepAxis(ParamRef("A", "p"), (1 + TINY,))]),
+        InputError(f"A.p grid value: 1{'0' * 4999}1/{BIG_TEXT} is outside [0, 1]"),
+    ),
+    "sensitivity step": (
+        lambda: sensitivity(BERNOULLI, [ParamRef("A", "p")], h=f"{HALF_PAST}/{BIG_TEXT}"),
+        InputError(f"A.p: step {HALF_PAST}/{BIG_TEXT} leaves [0, 1] from 1/2"),
+    ),
+    "power --game": (lambda: power_on_file(OFF_SUM), (2, f"error: {OFF_SUM_TEXT}\n")),
+}
+
+
+@pytest.mark.parametrize("entry", LONG_VALUES)
+def test_a_long_value_is_read_and_printed_whole(entry):
+    call, expected = LONG_VALUES[entry]
+    if not isinstance(expected, Exception):
+        assert call() == expected
+        return
+    with pytest.raises(type(expected)) as excinfo:
+        call()
+    assert type(excinfo.value) is type(expected)
+    assert str(excinfo.value) == str(expected)
 
 
 def rounded(value: Fraction, precision: int) -> Fraction:
@@ -168,10 +272,7 @@ def time_limit(seconds: float):
 @pytest.mark.parametrize("precision", [0, -1])
 def test_a_precision_below_one_is_refused(precision):
     message = rf"precision must be a positive integer, got {precision}$"
-    grid = sweep(
-        Game(1, (Player.from_spec("A", StructureSpec("bernoulli", votes=1, p=Fraction(1, 2))),)),
-        [SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 3))],
-    )
+    grid = sweep(BERNOULLI, [SweepAxis(ParamRef("A", "p"), grid_values(0, 1, 3))])
     with time_limit(5):
         with pytest.raises(InputError, match=message):
             format_value(Fraction(1, 3), precision)

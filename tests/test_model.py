@@ -446,6 +446,34 @@ class TestLoadGame:
         with pytest.raises(GameValidationError, match="unknown structure kind"):
             load_game(doc)
 
+    # A count that is not an integer, a bool among them, is refused at its
+    # JSON path before the structure's builder sees it.
+    @pytest.mark.parametrize(
+        "structure, path, value",
+        [
+            ({"kind": "random", "votes": True}, "votes", "True"),
+            ({"kind": "uniform_team", "n": False, "p": "1", "L": "1"}, "n", "False"),
+            ({"kind": "team", "weights": [2, True], "p": "1", "L": "1"}, "weights[1]", "True"),
+            ({"kind": "pmf", "entries": [[False, "1"]]}, "entries[0][0]", "False"),
+            ({"kind": "deterministic", "votes": "3"}, "votes", "'3'"),
+            ({"kind": "team", "weights": [-1], "p": "1", "L": "1"}, "weights[0]", "-1"),
+        ],
+    )
+    def test_a_count_is_refused_at_its_path(self, structure, path, value):
+        doc = {"quota": 1, "players": [{"name": "A", "structure": structure}]}
+        with pytest.raises(GameValidationError) as excinfo:
+            load_game(doc)
+        assert str(excinfo.value) == (
+            f"players[0] (A).structure.{path} must be a non-negative integer, got {value}"
+        )
+
+    @pytest.mark.parametrize("name, shown", [("", ""), (None, "None"), (5, "5")])
+    def test_a_bad_name_is_refused_at_its_player(self, name, shown):
+        doc = {"quota": 1, "players": [{"name": name, "structure": {"kind": "random", "votes": 1}}]}
+        with pytest.raises(GameValidationError) as excinfo:
+            load_game(doc)
+        assert str(excinfo.value) == f"players[0] ({shown}): player name must be a nonempty string"
+
 
 class TestGame:
     def test_improper_game_is_flagged_not_rejected(self):

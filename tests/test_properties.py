@@ -5,7 +5,8 @@ generalized index, classic Banzhaf against coalition enumeration, the
 integer product engine against enumerated products, RationalPoly's
 operators against plain Fraction dicts, the structure builders against the
 Fraction route, exactly spaced grids against their Fraction formula,
-probability parsing, and game documents against their round trip.
+probability parsing, exact text against its reader, and game documents
+against their round trip.
 
 Examples are derandomized, so every run checks the same games.
 """
@@ -45,7 +46,7 @@ from votepower.oracle import (
     influence_first_principles,
     joint_distribution_enum,
 )
-from votepower.poly import RationalPoly, int_product
+from votepower.poly import RationalPoly, exact_text, int_product, parse_rational
 from votepower.power import (
     classic_banzhaf,
     generalized_banzhaf,
@@ -481,3 +482,22 @@ def test_grid_values_are_the_fraction_formula(lo, hi, steps, lo_form, hi_form):
 @given(probabilities)
 def test_a_fraction_is_its_own_probability(q):
     assert as_probability(q) is q
+
+
+# Signed fractions whose parts reach about 10^5000, past the 4,300 digits at
+# which int-to-str conversion stops, as well as short ones.
+LONG = 10**5000
+long_fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-1000, 1000), st.integers(-LONG, LONG)),
+    st.one_of(st.integers(1, 1000), st.integers(1, LONG)),
+)
+
+
+@deterministic
+@given(st.lists(long_fractions, max_size=4))
+def test_exact_text_reads_back_as_its_value(values):
+    for value in values:
+        assert parse_rational(exact_text(value)) == value
+    texts = {d: exact_text(value) for d, value in enumerate(values)}
+    assert RationalPoly(texts) == RationalPoly(dict(enumerate(values)))

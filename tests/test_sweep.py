@@ -152,11 +152,14 @@ class TestSweep:
         assert {(spec.L, spec.p) for spec in builds} == {(L, p) for L in values for p in values}
 
     # On a 3x3 grid the first two used to read cells (1, 2) and (2, 2); the
-    # third raised a bare IndexError.
+    # third raised a bare IndexError.  A range holds True and 1.0, which
+    # used to read cell 1 and raise a bare TypeError.
     @pytest.mark.parametrize(
         "indices, message",
         [((0, 5), "index 5 is outside axis A.p"), ((0, -1), "index -1 is outside axis A.p"),
-         ((3, 0), "index 3 is outside axis A.L")],
+         ((3, 0), "index 3 is outside axis A.L"),
+         ((0, True), r"index on axis A.p must be a non-negative integer, got True$"),
+         ((1.0, 0), r"index on axis A.L must be a non-negative integer, got 1.0$")],
     )
     def test_cell_rejects_an_index_outside_its_axis(self, indices, message):
         game = preset_game("paper-eq31")
